@@ -265,7 +265,7 @@ def simulate(config_path, out, workers):
     cfg = SimConfig(
         code=code,
         ebn0_db=list(doc["ebn0_db"]),
-        max_iter=int(doc.get("max_iter", 100)),
+        max_iter=doc.get("max_iter", 100),
         min_frame_errors=int(doc.get("min_frame_errors", 50)),
         max_frames=int(doc.get("max_frames", 100_000)),
         seed=int(doc.get("seed", 0)),

@@ -5,10 +5,23 @@ LLR summation at the variable nodes, a hard decision per iteration and
 early exit on a zero syndrome.  Positive LLR means bit 0 is more
 likely.  Message magnitudes are clamped to CLAMP_LLR before the tanh to
 keep the log-domain transform finite.
+
+The decoder owns its edge plan, built once per H and kept for the last
+H decoded.  The plan buckets the checks by degree: each bucket holds its
+edges as a C-contiguous (degree, checks) array, so the check-node update
+is a sum and a parity along axis 0 broadcast back over the bucket's
+edges, in the check-centred layout of Hu, Eleftheriou, Arnold and
+Dholakia ("Efficient implementations of the sum-product algorithm for
+decoding LDPC codes", GLOBECOM 2001).  One flat edge order spans all
+buckets for the elementwise work.  Every sum is taken in a fixed order
+that does not depend on the layout: within a check, the order in which
+``np.add.reduceat`` adds one segment; at a variable, ascending check
+index.  Decisions are therefore reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,32 +39,101 @@ class DecodeResult:
     converged: bool
 
 
-class _EdgeStructure:
-    """Edge-parallel view of H, sorted by check node."""
+def check_max_iter(max_iter) -> None:
+    """Reject an iteration limit that is not an integer of at least 1."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
+class _EdgePlan:
+    """Degree-bucketed edge layout of one H.
+
+    Flat edge order: bucket after bucket in ascending check degree d;
+    inside a bucket of C checks, position in the check major and check
+    minor, so the bucket is the block [offset, offset + d*C) viewed as a
+    C-contiguous (d, C) array.  ``var[e]`` is the variable of flat edge
+    e.  ``var_edges[k, v]`` is the flat edge of the k-th check of
+    variable v in ascending check order; variables with fewer checks
+    point at the slot ``n_edges``, which holds 0.
+    """
 
     def __init__(self, H: SparseBinMatrix) -> None:
         indptr, indices = H.csr()
         deg = np.diff(indptr)
-        nonempty = np.flatnonzero(deg > 0)
-        self.var = np.concatenate(
-            [H.row_support[r] for r in nonempty]
-        ).astype(np.int64) if nonempty.size else np.empty(0, dtype=np.int64)
-        self.deg = deg[nonempty]
-        self.starts = np.zeros(len(nonempty), dtype=np.int64)
-        np.cumsum(self.deg[:-1], out=self.starts[1:])
-        self.seg = np.repeat(np.arange(len(self.deg)), self.deg)
+        degrees = np.unique(deg[deg > 0])
         self.n = H.cols
+        self.shapes = [(int(d), int(np.count_nonzero(deg == d))) for d in degrees]
+        # CSR position (check-sorted edge index) of each flat edge.
+        csr_pos = np.concatenate(
+            [(indptr[:-1][deg == d] + np.arange(d)[:, None]).ravel() for d in degrees]
+            or [np.empty(0, dtype=np.intp)]
+        )
+        self.n_edges = e = csr_pos.size
+        self.var = indices[csr_pos].astype(np.intp)
+        # Flat edges grouped by variable; the stable sort keeps each
+        # variable's edges in CSR order, which is ascending check order.
+        flat_of = np.empty(e, dtype=np.intp)
+        flat_of[csr_pos] = np.arange(e)
+        by_var = flat_of[np.argsort(indices, kind="stable")]
+        var_deg = np.bincount(indices, minlength=self.n)
+        first = np.cumsum(var_deg) - var_deg
+        self.var_edges = np.full((var_deg.max(initial=0), self.n), e, dtype=np.intp)
+        for k, row in enumerate(self.var_edges):
+            has_k = np.flatnonzero(var_deg > k)
+            row[has_k] = by_var[first[has_k] + k]
 
 
-def _edges(H: SparseBinMatrix) -> _EdgeStructure:
-    if H._spa_edges is None:
-        H._spa_edges = _EdgeStructure(H)
-    return H._spa_edges
+_last_plan: tuple = (None, None)
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    # -log(tanh(x/2)), self-inverse on (0, inf); input is pre-clamped.
-    return -np.log(np.tanh(0.5 * x))
+def _plan(H: SparseBinMatrix) -> _EdgePlan:
+    # One entry, holding H itself: pool workers unpickle a new H for
+    # every chunk, and a larger cache would keep the dead ones alive.
+    # The old entry goes before the new plan is built, so the two never
+    # coexist.
+    global _last_plan
+    if _last_plan[0] is not H:
+        _last_plan = (None, None)
+        _last_plan = (H, _EdgePlan(H))
+    return _last_plan[1]
+
+
+def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
+    # numpy's pairwise summation, row by row: sequential below 8 terms,
+    # eight interleaved accumulators up to 128, halves above.
+    n = len(rows)
+    if n < 8:
+        return rows.sum(axis=0)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
+    stop = n - n % 8
+    acc = rows[:8]
+    for i in range(8, stop, 8):
+        acc = acc + rows[i:i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for row in rows[stop:]:
+        total += row
+    return total
+
+
+def _check_sums(rows: np.ndarray) -> np.ndarray:
+    """Column sums of a (degree, checks) array in ``np.add.reduceat``'s
+    order for one segment: the first term plus the pairwise sum of the rest."""
+    if len(rows) == 1:
+        return rows[0]
+    return rows[0] + _pairwise_rows(rows[1:])
+
+
+def _log_tanh_half(x: np.ndarray) -> None:
+    # x <- log(tanh(x/2)) = -phi(x) in place, phi(x) = -log(tanh(x/2))
+    # being self-inverse on (0, inf); x is pre-clamped to >= _MIN_MAG.
+    np.multiply(x, 0.5, out=x)
+    np.tanh(x, out=x)
+    np.log(x, out=x)
 
 
 def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeResult:
@@ -61,31 +143,60 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
         raise ValueError(f"expected {H.cols} LLRs, got shape {llr.shape}")
     if not np.all(np.isfinite(llr)):
         raise ValueError("channel LLRs must be finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_max_iter(max_iter)
 
-    es = _edges(H)
-    if es.var.size == 0:
+    plan = _plan(H)
+    if plan.n_edges == 0:
         # No constraints: the channel decision already satisfies H.
         return DecodeResult((llr < 0).astype(np.uint8), 1, True)
 
-    seg = es.seg
-    c2v = np.zeros(es.var.size)
+    e = plan.n_edges
+    v2c = np.empty(e)
+    beta = np.empty(e)  # -phi(|v2c|)
+    excl = v2c  # exclusive sum of phi, then -phi of it; v2c is spent by then
+    c2v_pad = np.zeros(e + 1)  # the last slot stays 0 for var_edges
+    c2v = c2v_pad[:e]
+    neg = np.empty(e, dtype=bool)
+    flip = np.empty(e, dtype=bool)
+    post = np.empty(plan.n)
+    term = np.empty(plan.n)
+    buckets = []
+    start = 0
+    for d, c in plan.shapes:
+        block = slice(start, start + d * c)
+        buckets.append(tuple(a[block].reshape(d, c) for a in (beta, excl, neg, flip)))
+        start += d * c
+
     posterior = llr
-    hard = (llr < 0).astype(np.uint8)
-    for it in range(1, max_iter + 1):
-        v2c = np.clip(posterior[es.var] - c2v, -CLAMP_LLR, CLAMP_LLR)
-        mag = np.maximum(np.abs(v2c), _MIN_MAG)
-        alpha = _phi(mag)
-        alpha_sum = np.add.reduceat(alpha, es.starts)
-        neg = v2c < 0
-        parity = np.add.reduceat(neg, es.starts).astype(np.int64) & 1
-        excl = np.maximum(alpha_sum[seg] - alpha, _MIN_MAG)
-        sign = 1.0 - 2.0 * ((parity[seg] ^ neg).astype(np.float64))
-        c2v = np.clip(sign * _phi(excl), -CLAMP_LLR, CLAMP_LLR)
-        posterior = llr + np.bincount(es.var, weights=c2v, minlength=es.n)
-        hard = (posterior < 0).astype(np.uint8)
-        unsat = np.add.reduceat(hard[es.var].astype(np.int64), es.starts) & 1
-        if not unsat.any():
-            return DecodeResult(hard, it, True)
-    return DecodeResult(hard, max_iter, False)
+    for it in range(max_iter + 1):
+        np.take(posterior, plan.var, out=v2c)
+        if it:
+            # After `it` iterations, the gather that opens the next one
+            # doubles as the syndrome check of the current decision.
+            np.less(v2c, 0.0, out=neg)
+            if not any(np.logical_xor.reduce(n_b, axis=0).any() for _, _, n_b, _ in buckets):
+                return DecodeResult((posterior < 0).astype(np.uint8), it, True)
+            if it == max_iter:
+                break
+        np.subtract(v2c, c2v, out=v2c)
+        np.clip(v2c, -CLAMP_LLR, CLAMP_LLR, out=v2c)
+        np.less(v2c, 0.0, out=neg)
+        np.abs(v2c, out=beta)
+        np.maximum(beta, _MIN_MAG, out=beta)
+        _log_tanh_half(beta)
+        for b_b, x_b, n_b, f_b in buckets:
+            # phi-sum of the other edges: sum(phi) - phi = beta - sum(beta).
+            np.subtract(b_b, _check_sums(b_b), out=x_b)
+            np.not_equal(n_b, np.logical_xor.reduce(n_b, axis=0), out=f_b)
+        # phi(excl) <= phi(_MIN_MAG) ~ 28.3 < CLAMP_LLR: c2v needs no clip.
+        np.maximum(excl, _MIN_MAG, out=excl)
+        _log_tanh_half(excl)
+        np.multiply(flip, 2.0, out=c2v)
+        c2v -= 1.0  # minus the sign of each outgoing message
+        c2v *= excl
+        # The previous posterior was consumed by this iteration's gather.
+        posterior = np.take(c2v_pad, plan.var_edges[0], out=post)
+        for row in plan.var_edges[1:]:
+            posterior += np.take(c2v_pad, row, out=term)
+        posterior += llr
+    return DecodeResult((posterior < 0).astype(np.uint8), max_iter, False)

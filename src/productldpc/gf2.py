@@ -34,7 +34,7 @@ class SparseBinMatrix:
     threads and worker processes.
     """
 
-    __slots__ = ("rows", "cols", "row_support", "_csr", "_colsup", "_spa_edges")
+    __slots__ = ("rows", "cols", "row_support", "_csr", "_colsup")
 
     def __init__(self, rows: int, cols: int, row_support) -> None:
         if rows < 0 or cols < 0:
@@ -46,7 +46,6 @@ class SparseBinMatrix:
         self.row_support = [_as_support(r, cols) for r in row_support]
         self._csr = None
         self._colsup = None
-        self._spa_edges = None
 
     @classmethod
     def identity(cls, n: int) -> "SparseBinMatrix":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoder import spa_decode
+from .decoder import check_max_iter, spa_decode
 from .gf2 import SparseBinMatrix
 
 CHUNK_FRAMES = 25
@@ -50,6 +50,7 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        check_max_iter(self.max_iter)
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be at least 1")
         if not len(self.ebn0_db):

@@ -207,3 +207,18 @@ def test_simulate_product_code(runner, tmp_path):
     assert result.exit_code == 0, result.output
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("max_iter", [0, 2.5])
+def test_simulate_rejects_bad_max_iter_before_starting(runner, tmp_path, max_iter):
+    cfg = {"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [2.0], "max_iter": max_iter}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    result = runner.invoke(
+        main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"),
+               "--workers", "2"]
+    )
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == [result.output.strip()]
+    assert "max_iter" in result.output and "seed=" not in result.output
+    assert not (tmp_path / "r.csv").exists()

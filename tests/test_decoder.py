@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from productldpc import (
     PermutationArray,
@@ -64,6 +67,107 @@ class TestSymmetry:
             assert np.array_equal(mapped.hard_bits, base.hard_bits ^ cw)
 
 
+def _codewords(dense: np.ndarray) -> np.ndarray:
+    """Every word x with dense @ x = 0 over GF(2), by enumeration."""
+    n = dense.shape[1]
+    words = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    return words[~((words @ dense.T.astype(np.int64)) % 2).any(axis=1)].astype(np.uint8)
+
+
+@st.composite
+def _code_and_codeword(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 10))
+    dense = np.array(
+        draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                      min_size=m, max_size=m)),
+        dtype=np.uint8,
+    )
+    words = _codewords(dense)
+    cw = words[draw(st.integers(0, len(words) - 1))]
+    return SparseBinMatrix.from_dense(dense), cw
+
+
+class TestSymmetryProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_code_and_codeword(), st.integers(0, 2**32 - 1),
+           st.floats(0.3, 6.0), st.integers(1, 30))
+    def test_sign_flip_through_any_codeword(self, code, seed, scale, max_iter):
+        # Random H with mixed check degrees, empty rows and degree-1
+        # checks; continuous LLRs, so no posterior is exactly zero.
+        H, cw = code
+        assert not syndrome(H, cw).any()
+        llr = np.random.default_rng(seed).normal(0.0, scale, H.cols)
+        flip = 1.0 - 2.0 * cw.astype(np.float64)
+        base = spa_decode(H, llr, max_iter=max_iter)
+        mapped = spa_decode(H, llr * flip, max_iter=max_iter)
+        assert mapped.converged == base.converged
+        assert mapped.iterations_used == base.iterations_used
+        assert np.array_equal(mapped.hard_bits, base.hard_bits ^ cw)
+
+
+def _bitwise_map(H: SparseBinMatrix, llr: np.ndarray):
+    """Brute-force bitwise-MAP decisions and the smallest |log-odds|."""
+    words = _codewords(H.to_dense())
+    logp = -(words @ llr)  # log P(word | y) up to a constant
+    top = logp.max()
+    weight = np.exp(logp - top)
+    p1 = weight @ words
+    p0 = weight.sum() - p1
+    log_odds = np.log(p0) - np.log(p1)
+    return (log_odds < 0).astype(np.uint8), np.abs(log_odds).min()
+
+
+def _random_check_tree(rng):
+    """Tanner graph that is a tree: each new check joins one old variable
+    to one or two new ones.  Returns H and its diameter in checks."""
+    supports = [list(range(int(rng.integers(2, 4))))]
+    n = len(supports[0])
+    for _ in range(int(rng.integers(1, 5))):
+        fresh = int(rng.integers(1, 3))
+        supports.append([int(rng.integers(n))] + list(range(n, n + fresh)))
+        n += fresh
+    H = SparseBinMatrix(len(supports), n, [sorted(s) for s in supports])
+    # A path between two variables passes one check per two edges.
+    a = H.to_dense()
+    graph = np.block([[np.zeros((n, n)), a.T], [a, np.zeros((len(supports),) * 2)]])
+    return H, int(shortest_path(graph, unweighted=True)[:n, :n].max()) // 2
+
+
+class TestBitwiseMapOracle:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_single_parity_check_one_iteration(self, n):
+        # On one check, the first flooding iteration's posterior is the
+        # exact bitwise-MAP log-odds.
+        H = SparseBinMatrix(1, n, [np.arange(n)])
+        rng = np.random.default_rng(n)
+        checked = 0
+        while checked < 40:
+            llr = rng.normal(0.0, rng.uniform(0.5, 4.0), n)
+            decision, margin = _bitwise_map(H, llr)
+            if margin < 1e-6:
+                continue  # a near-tie: the rounding could decide either way
+            res = spa_decode(H, llr, max_iter=1)
+            assert np.array_equal(res.hard_bits, decision)
+            checked += 1
+
+    def test_cycle_free_graphs_after_diameter_iterations(self):
+        rng = np.random.default_rng(77)
+        checked = skipped = 0
+        for _ in range(40):
+            H, diameter = _random_check_tree(rng)
+            for _ in range(10):
+                llr = rng.normal(0.0, rng.uniform(0.5, 3.0), H.cols)
+                decision, margin = _bitwise_map(H, llr)
+                res = spa_decode(H, llr, max_iter=2 * diameter + 5)
+                if margin < 1e-6 or res.iterations_used < diameter:
+                    skipped += 1
+                    continue
+                assert np.array_equal(res.hard_bits, decision)
+                checked += 1
+        assert checked >= 100, (checked, skipped)
+
+
 class TestInputValidation:
     def test_rejects_non_finite(self, pc144):
         llr = np.zeros(pc144.n)
@@ -81,6 +185,15 @@ class TestInputValidation:
     def test_rejects_zero_iterations(self, pc144):
         with pytest.raises(ValueError):
             spa_decode(pc144.H, np.zeros(pc144.n), max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None, True])
+    def test_rejects_non_integer_iterations(self, pc144, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            spa_decode(pc144.H, np.zeros(pc144.n), max_iter=max_iter)
+
+    def test_accepts_numpy_integer_iterations(self, pc144):
+        res = spa_decode(pc144.H, np.full(pc144.n, 5.0), max_iter=np.int64(3))
+        assert res.converged and res.iterations_used == 1
 
 
 class TestDegenerate:

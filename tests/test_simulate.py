@@ -29,6 +29,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(code=tiny_pc, ebn0_db=[])
 
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, 10.0, "10", None])
+    def test_rejects_bad_max_iter(self, tiny_pc, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            SimConfig(code=tiny_pc, ebn0_db=[1.0], max_iter=max_iter)
+
     def test_rejects_frame_cap_below_target(self, tiny_pc):
         with pytest.raises(ValueError):
             SimConfig(code=tiny_pc, ebn0_db=[1.0], min_frame_errors=10, max_frames=5)
