@@ -259,16 +259,16 @@ def simulate(config_path, out, workers):
     with open(config_path) as fh:
         doc = json.load(fh)
     if "uncoded_n" in doc:
-        code = IdentityCode(int(doc["uncoded_n"]))
+        code = IdentityCode(doc["uncoded_n"])
     else:
         code = _build_code(doc["comp_a"], doc["comp_b"], doc.get("perms"))
     cfg = SimConfig(
         code=code,
         ebn0_db=list(doc["ebn0_db"]),
         max_iter=doc.get("max_iter", 100),
-        min_frame_errors=int(doc.get("min_frame_errors", 50)),
-        max_frames=int(doc.get("max_frames", 100_000)),
-        seed=int(doc.get("seed", 0)),
+        min_frame_errors=doc.get("min_frame_errors", 50),
+        max_frames=doc.get("max_frames", 100_000),
+        seed=doc.get("seed", 0),
         workers=workers,
     )
     click.echo(f"seed={cfg.seed} workers={workers} code={code.label}")

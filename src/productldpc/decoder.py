@@ -89,10 +89,11 @@ _last_plan: tuple = (None, None)
 
 
 def _plan(H: SparseBinMatrix) -> _EdgePlan:
-    # One entry, holding H itself: pool workers unpickle a new H for
-    # every chunk, and a larger cache would keep the dead ones alive.
-    # The old entry goes before the new plan is built, so the two never
-    # coexist.
+    # One entry, holding H itself: a sweep decodes one code at a time
+    # (a pool worker receives its code once, when it starts), so the
+    # entry stays warm for the whole sweep, and a larger cache would only
+    # keep the codes of finished sweeps alive.  The old entry goes before
+    # the new plan is built, so the two never coexist.
     global _last_plan
     if _last_plan[0] is not H:
         _last_plan = (None, None)

@@ -1,29 +1,51 @@
 """Monte Carlo BER/FER estimation over BPSK/AWGN.
 
 Frames are drawn in fixed-size chunks, each chunk seeded independently
-from (seed, point index, chunk index).  Aggregation walks chunks in
-index order and stops once enough frame errors (or the frame cap) have
-accumulated, so results are identical no matter how many workers ran
-the chunks.  Errors are counted over information bits only.
+from (seed, point index, chunk index).  One loop serves any worker
+count: it folds the chunks' counters strictly in chunk-index order and
+stops once enough frame errors (or the frame cap) have accumulated, so
+results are identical no matter how many workers ran the chunks.  With
+one worker the chunks run in process, one at a time, and no chunk past
+the stop is decoded.  With more, one process pool serves the whole
+sweep: each worker receives the code once, when it starts (never
+pickled under fork, pickled once per worker under spawn), so a submit
+carries only the chunk's numbers and the decoder's edge plan stays
+built for the whole sweep.  A new chunk is submitted whenever a worker
+is free, unless the chunks in flight are expected to finish the point,
+so at most one chunk per worker is in flight and none waits in a queue;
+the chunks still running when a point stops finish and are discarded.
+Errors are counted over information bits only.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import numbers
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .decoder import check_max_iter, spa_decode
+from .decoder import spa_decode
 from .gf2 import SparseBinMatrix
 
 CHUNK_FRAMES = 25
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Reject a count that is a bool, not an integer, or below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 class IdentityCode:
     """Rate-1 stand-in: k = n, empty H, codeword = information word."""
 
     def __init__(self, n: int) -> None:
+        check_int("uncoded_n", n, 1)
         self.n = n
         self.k = n
         self.H = SparseBinMatrix(0, n, [])
@@ -50,9 +72,11 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        check_max_iter(self.max_iter)
-        if self.min_frame_errors < 1:
-            raise ValueError("min_frame_errors must be at least 1")
+        check_int("max_iter", self.max_iter, 1)
+        check_int("min_frame_errors", self.min_frame_errors, 1)
+        check_int("max_frames", self.max_frames, 1)
+        check_int("seed", self.seed, 0)
+        check_int("workers", self.workers, 1)
         if not len(self.ebn0_db):
             raise ValueError("Eb/N0 grid must be nonempty")
         if self.max_frames < self.min_frame_errors:
@@ -111,16 +135,67 @@ def _chunk_plan(max_frames: int) -> list:
     return sizes
 
 
-def _aggregate(cfg: SimConfig, ebn0_db: float, chunk_results) -> SimPoint:
-    """Fold chunk counters in index order until the stopping rule fires."""
+# The code of the sweep a pool worker serves, set once by _init_worker
+# when the worker starts; a submit then carries only the chunk's numbers.
+_worker_code = None
+
+
+def _init_worker(code) -> None:
+    global _worker_code
+    _worker_code = code
+
+
+def _run_worker_chunk(*chunk):
+    return _run_chunk(_worker_code, *chunk)
+
+
+def _simulate_point(cfg: SimConfig, point_idx: int, ebn0_db: float, submit,
+                    running: set) -> SimPoint:
+    """Fold chunk counters in index order until the stopping rule fires.
+
+    `submit(ebn0_db, n_frames, seed, point_idx, chunk_idx, max_iter)`
+    returns a future of `_run_chunk`'s counters.  `running` holds the
+    sweep's submitted futures, those of earlier points included; a chunk
+    is submitted only while fewer than `cfg.workers` of them are not
+    done, so no chunk waits in a queue, and a worker that finishes any
+    chunk gets the next one without waiting for the older chunks to be
+    folded, unless the chunks in flight are expected to finish the
+    point.  Chunks past the one that fires the rule are discarded: those
+    that finished while an older chunk still ran, and those still
+    running, one per busy worker at most, which finish first.
+    """
+    plan = enumerate(_chunk_plan(cfg.max_frames))
+    pending = deque()  # (future, frames) submitted and not yet folded, in chunk order
+    pending_frames = 0
     bit_errors = frame_errors = iterations = frames = 0
-    for be, fe, it, fr in chunk_results:
-        bit_errors += be
-        frame_errors += fe
-        iterations += it
-        frames += fr
-        if frame_errors >= cfg.min_frame_errors:
-            break
+    while frame_errors < cfg.min_frame_errors:
+        if pending and pending[0][0].done():
+            fut, size = pending.popleft()
+            be, fe, it, fr = fut.result()
+            pending_frames -= size
+            bit_errors += be
+            frame_errors += fe
+            iterations += it
+            frames += fr
+            continue
+        running.difference_update([fut for fut in running if fut.done()])
+        # A free worker gets the next chunk unless the chunks in flight
+        # are expected to bring the point to its stop at the frame error
+        # rate folded so far (every frame failing, before the first fold).
+        rate = frame_errors / frames if frames else 1.0
+        if (len(running) < cfg.workers
+                and frame_errors + rate * pending_frames < cfg.min_frame_errors):
+            chunk = next(plan, None)
+            if chunk is not None:
+                chunk_idx, size = chunk
+                fut = submit(ebn0_db, size, cfg.seed, point_idx, chunk_idx, cfg.max_iter)
+                pending.append((fut, size))
+                pending_frames += size
+                running.add(fut)
+                continue
+            if not pending:
+                break
+        wait(running, return_when=FIRST_COMPLETED)
     return SimPoint(
         ebn0_db=ebn0_db,
         frames=frames,
@@ -133,55 +208,30 @@ def _aggregate(cfg: SimConfig, ebn0_db: float, chunk_results) -> SimPoint:
     )
 
 
-def _simulate_point_serial(cfg: SimConfig, point_idx: int, ebn0_db: float) -> SimPoint:
-    results = []
-    frame_errors = 0
-    for chunk_idx, size in enumerate(_chunk_plan(cfg.max_frames)):
-        res = _run_chunk(
-            cfg.code, ebn0_db, size, cfg.seed, point_idx, chunk_idx, cfg.max_iter
-        )
-        results.append(res)
-        frame_errors += res[1]
-        if frame_errors >= cfg.min_frame_errors:
-            break
-    return _aggregate(cfg, ebn0_db, results)
+class _InProcess(Executor):
+    """The executor for one worker: runs each chunk at once, in this process."""
 
-
-def _simulate_point_parallel(cfg: SimConfig, point_idx: int, ebn0_db: float,
-                             pool: ProcessPoolExecutor) -> SimPoint:
-    plan = _chunk_plan(cfg.max_frames)
-    results = []
-    frame_errors = 0
-    cursor = 0
-    while cursor < len(plan):
-        wave = range(cursor, min(cursor + cfg.workers, len(plan)))
-        futures = [
-            pool.submit(
-                _run_chunk, cfg.code, ebn0_db, plan[c], cfg.seed, point_idx,
-                c, cfg.max_iter,
-            )
-            for c in wave
-        ]
-        for fut in futures:
-            res = fut.result()
-            results.append(res)
-            frame_errors += res[1]
-        cursor += len(futures)
-        if frame_errors >= cfg.min_frame_errors:
-            break
-    return _aggregate(cfg, ebn0_db, results)
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        fut = Future()
+        fut.set_result(fn(*args, **kwargs))
+        return fut
 
 
 def run_sweep(cfg: SimConfig) -> SimResult:
     """BER/FER at every grid point, stopping each point on enough errors."""
-    points = []
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for idx, ebn0 in enumerate(cfg.ebn0_db):
-                points.append(_simulate_point_parallel(cfg, idx, float(ebn0), pool))
+        executor = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+                                       initargs=(cfg.code,))
+        submit = partial(executor.submit, _run_worker_chunk)
     else:
-        for idx, ebn0 in enumerate(cfg.ebn0_db):
-            points.append(_simulate_point_serial(cfg, idx, float(ebn0)))
+        executor = _InProcess()
+        submit = partial(executor.submit, _run_chunk, cfg.code)
+    running = set()
+    with executor:
+        points = [
+            _simulate_point(cfg, idx, float(ebn0), submit, running)
+            for idx, ebn0 in enumerate(cfg.ebn0_db)
+        ]
     meta = {
         "code": getattr(cfg.code, "label", repr(cfg.code)),
         "n": cfg.code.n,

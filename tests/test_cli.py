@@ -222,3 +222,36 @@ def test_simulate_rejects_bad_max_iter_before_starting(runner, tmp_path, max_ite
     assert result.output.strip().splitlines() == [result.output.strip()]
     assert "max_iter" in result.output and "seed=" not in result.output
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("min_frame_errors", 2.7), ("max_frames", 30.9), ("seed", 1.5), ("seed", -1),
+    ("uncoded_n", 2.5),
+])
+def test_simulate_rejects_non_integer_config_before_starting(runner, tmp_path, key, value):
+    cfg = {"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [2.0],
+           "min_frame_errors": 5, "max_frames": 100, key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    result = runner.invoke(
+        main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"),
+               "--workers", "2"]
+    )
+    out = result.output.strip()
+    assert result.exit_code == 1
+    assert out.startswith(f"error: {key} must be") and "\n" not in out
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_simulate_rejects_workers_below_one(runner, tmp_path, workers):
+    cfg = {"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [2.0], "max_frames": 100}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    result = runner.invoke(
+        main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"),
+               "--workers", workers]
+    )
+    assert result.exit_code == 1
+    assert result.output.strip() == f"error: workers must be at least 1, got {workers}"
+    assert not (tmp_path / "r.csv").exists()

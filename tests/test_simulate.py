@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,12 +7,25 @@ import pytest
 from productldpc import build_hp, build_spc
 from productldpc.analysis import qfunc
 from productldpc.simulate import (
+    CHUNK_FRAMES,
     IdentityCode,
     SimConfig,
     SimPoint,
+    _run_chunk,
+    _simulate_point,
     run_sweep,
     write_sim_csv,
 )
+
+
+class CountingCode(IdentityCode):
+    """Counts the pickles made of it; workers unpickle a plain IdentityCode."""
+
+    pickles = 0
+
+    def __reduce_ex__(self, protocol):
+        CountingCode.pickles += 1
+        return IdentityCode, (self.n,)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +48,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="max_iter"):
             SimConfig(code=tiny_pc, ebn0_db=[1.0], max_iter=max_iter)
 
+    @pytest.mark.parametrize("field, value", [
+        ("min_frame_errors", 2.7), ("min_frame_errors", True), ("max_frames", 30.9),
+        ("max_frames", "100"), ("seed", 1.5), ("seed", -1), ("seed", None),
+        ("workers", 0), ("workers", -4), ("workers", 2.0), ("workers", True),
+    ])
+    def test_rejects_bad_integer_field(self, tiny_pc, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(code=tiny_pc, ebn0_db=[1.0], **{field: value})
+
     def test_rejects_frame_cap_below_target(self, tiny_pc):
         with pytest.raises(ValueError):
             SimConfig(code=tiny_pc, ebn0_db=[1.0], min_frame_errors=10, max_frames=5)
@@ -47,12 +70,59 @@ class TestDeterminism:
         b = run_sweep(cfg)
         assert [vars(p) for p in a.points] == [vars(p) for p in b.points]
 
-    def test_workers_do_not_change_result(self, tiny_pc):
-        kw = dict(code=tiny_pc, ebn0_db=[2.0], min_frame_errors=10,
-                  max_frames=200, seed=3)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_workers_do_not_change_result(self, tiny_pc, workers):
+        # One pool serves every point.  The first two points stop on
+        # their errors after 3 and 9 chunks, neither a multiple of 2 or
+        # 3 workers, so chunks past the stop may still run when the next
+        # point starts; the last point runs all of its 20 chunks.
+        kw = dict(code=tiny_pc, ebn0_db=[0.0, 2.0, 8.0], min_frame_errors=20,
+                  max_frames=500, seed=3)
         serial = run_sweep(SimConfig(workers=1, **kw))
-        parallel = run_sweep(SimConfig(workers=2, **kw))
+        parallel = run_sweep(SimConfig(workers=workers, **kw))
+        assert [p.frames for p in serial.points] == [75, 225, 500]
         assert [vars(p) for p in serial.points] == [vars(p) for p in parallel.points]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunks_go_only_to_free_workers(self, tiny_pc, workers):
+        # No chunk waits in a queue, so when the point stops, at most one
+        # chunk per worker is left to decode and be discarded.
+        cfg = SimConfig(code=tiny_pc, ebn0_db=[0.0], min_frame_errors=20,
+                        max_frames=500, seed=3, workers=workers)
+        submitted = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            def submit(*chunk):
+                assert sum(not fut.done() for fut in submitted) < workers
+                submitted.append(pool.submit(_run_chunk, tiny_pc, *chunk))
+                return submitted[-1]
+
+            point = _simulate_point(cfg, 0, 0.0, submit, set())
+            assert sum(not fut.done() for fut in submitted) <= workers
+        assert point.frames == 3 * CHUNK_FRAMES
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_chunk_past_the_expected_stop(self, workers):
+        # Every frame fails, so two 25-frame chunks reach 50 errors: no
+        # worker starts a third chunk that the stop would discard.
+        cfg = SimConfig(code=IdentityCode(16), ebn0_db=[-30.0], min_frame_errors=50,
+                        max_frames=500, seed=5, workers=workers)
+        submitted = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            def submit(*chunk):
+                submitted.append(pool.submit(_run_chunk, cfg.code, *chunk))
+                return submitted[-1]
+
+            point = _simulate_point(cfg, 0, -30.0, submit, set())
+        assert (point.frames, point.frame_errors) == (50, 50)
+        assert len(submitted) == 2
+
+    def test_code_is_sent_once_per_worker(self):
+        CountingCode.pickles = 0
+        cfg = SimConfig(code=CountingCode(16), ebn0_db=[0.0, 1.0, 2.0],
+                        min_frame_errors=200, max_frames=200, seed=4, workers=2)
+        points = run_sweep(cfg).points
+        assert sum(p.frames for p in points) == 600  # 24 chunks over 3 points
+        assert CountingCode.pickles <= cfg.workers
 
 
 class TestCounters:
