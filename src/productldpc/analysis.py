@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import erfc
@@ -31,6 +32,12 @@ class WeightSpectrum:
     k: int
     counts: dict = field(default_factory=dict)
     complete: bool = False
+
+    def __post_init__(self) -> None:
+        if self.n < 1 or not 0 <= self.k <= self.n:
+            raise ValueError(
+                f"a spectrum needs n >= 1 and 0 <= k <= n, got n={self.n}, k={self.k}"
+            )
 
     def multiplicity(self, w: int) -> int:
         return self.counts.get(w, 0)
@@ -80,22 +87,12 @@ def _pack_bits(bits: np.ndarray) -> int:
 def _generator_words(code) -> list[int]:
     """Packed codewords of the k unit information words."""
     if isinstance(code, ProductCode):
-        gens = []
-        unit = np.zeros(code.k, dtype=np.uint8)
-        for i in range(code.k):
-            unit[i] = 1
-            gens.append(_pack_bits(code.encode(unit)))
-            unit[i] = 0
-        return gens
-    if isinstance(code, ComponentCode):
-        gens = []
-        unit = np.zeros(code.k, dtype=np.uint8)
-        for i in range(code.k):
-            unit[i] = 1
-            gens.append(_pack_bits(encode_systematic(code, unit)))
-            unit[i] = 0
-        return gens
-    raise TypeError(f"cannot enumerate {type(code).__name__}")
+        encode = code.encode
+    elif isinstance(code, ComponentCode):
+        encode = partial(encode_systematic, code)
+    else:
+        raise TypeError(f"cannot enumerate {type(code).__name__}")
+    return [_pack_bits(encode(unit)) for unit in np.eye(code.k, dtype=np.uint8)]
 
 
 def exhaustive_spectrum(code) -> WeightSpectrum:

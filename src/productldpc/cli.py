@@ -217,7 +217,11 @@ def encode(comp_a, comp_b, perms, info_path, out):
     """Encode one information block to a codeword."""
     pc = _build_code(comp_a, comp_b, perms)
     with open(info_path) as fh:
-        bits = np.array([int(tok) for tok in fh.read().split()], dtype=np.uint8)
+        tokens = fh.read().split()
+    bad = next((tok for tok in tokens if tok not in ("0", "1")), None)
+    if bad is not None:
+        raise ValueError(f"information bits must be 0 or 1, got {bad!r}")
+    bits = np.array([tok == "1" for tok in tokens], dtype=np.uint8)
     codeword = pc.encode(bits)
     with open(out, "w") as fh:
         fh.write(" ".join(str(int(b)) for b in codeword) + "\n")
@@ -258,13 +262,15 @@ def simulate(config_path, out, workers):
     """
     with open(config_path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("ebn0_db"), list):
+        raise ValueError("config must be a JSON object with an ebn0_db list")
     if "uncoded_n" in doc:
         code = IdentityCode(doc["uncoded_n"])
     else:
         code = _build_code(doc["comp_a"], doc["comp_b"], doc.get("perms"))
     cfg = SimConfig(
         code=code,
-        ebn0_db=list(doc["ebn0_db"]),
+        ebn0_db=doc["ebn0_db"],
         max_iter=doc.get("max_iter", 100),
         min_frame_errors=doc.get("min_frame_errors", 50),
         max_frames=doc.get("max_frames", 100_000),

@@ -39,12 +39,12 @@ class DecodeResult:
     converged: bool
 
 
-def check_max_iter(max_iter) -> None:
-    """Reject an iteration limit that is not an integer of at least 1."""
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+def check_int(name: str, value, minimum: int) -> None:
+    """Reject a count that is a bool, not an integer, or below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 class _EdgePlan:
@@ -144,7 +144,7 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
         raise ValueError(f"expected {H.cols} LLRs, got shape {llr.shape}")
     if not np.all(np.isfinite(llr)):
         raise ValueError("channel LLRs must be finite")
-    check_max_iter(max_iter)
+    check_int("max_iter", max_iter, 1)
 
     plan = _plan(H)
     if plan.n_edges == 0:

@@ -7,6 +7,17 @@ picks the t whose new edges close the longest possible cycle, measured
 by breadth-first distances in the partially built Tanner graph (row-code
 checks are present from the start).  Ties are broken uniformly at
 random from a seeded generator, so equal seeds reproduce equal arrays.
+
+Both the design and the girth measurement run one labelled BFS, each
+stopping at the depth it reads.  The girth of a variable is 2 plus the
+least distance between two of its checks in the graph without it, so
+that search stops as soon as that distance is exact.  A design
+candidate t scores min(pair_meet + 2, dist(t) + 1), where pair_meet is
+the least distance between two of the new edges' checks; once the
+search has reached depth pair_meet, any candidate not yet reached would
+score at least pair_meet + 2 anyway, so it stops there (the
+depth-limited search of Hu, Eleftheriou and Arnold, IEEE Trans. IT
+2005).
 """
 
 from __future__ import annotations
@@ -46,57 +57,17 @@ def _gather(indptr, indices, fill, frontier):
     return indices[flat], src
 
 
-def _min_cycle_through(indptr, indices, fill, n_nodes, root) -> float:
-    """Length of the shortest cycle through `root`, inf if none.
+def _labelled_bfs(indptr, indices, fill, n_nodes, sources, skip, span):
+    """BFS distances from `sources`, plus the least distance between two.
 
-    Level-synchronized BFS labelling every node with the root neighbor
-    its shortest path leaves through; a meeting of two labels closes a
-    cycle through the root.
-    """
-    deg = int(fill[root])
-    if deg < 2:
-        return math.inf
-    dist = np.full(n_nodes, -1, dtype=np.int32)
-    label = np.full(n_nodes, -1, dtype=np.int32)
-    start = int(indptr[root])
-    frontier = indices[start : start + deg].astype(np.int64)
-    # Parallel edges would close a length-2 cycle; supports forbid them.
-    dist[root] = 0
-    dist[frontier] = 1
-    label[frontier] = np.arange(deg, dtype=np.int32)
-    best = math.inf
-    level = 1
-    while frontier.size and best > 2 * level:
-        nbrs, src = _gather(indptr, indices, fill, frontier)
-        src_lab = label[frontier[src]]
-        keep = nbrs != root
-        nbrs, src_lab = nbrs[keep], src_lab[keep]
-        tdist = dist[nbrs]
-        seen = tdist >= 0
-        cross = seen & (label[nbrs] != src_lab)
-        if np.any(cross):
-            best = min(best, int(tdist[cross].min()) + level + 1)
-        fresh, fresh_lab = nbrs[~seen], src_lab[~seen]
-        if fresh.size == 0:
-            break
-        order = np.argsort(fresh, kind="stable")
-        fresh, fresh_lab = fresh[order], fresh_lab[order]
-        first = np.ones(fresh.size, dtype=bool)
-        first[1:] = fresh[1:] != fresh[:-1]
-        if np.any(~first[1:] & (fresh_lab[1:] != fresh_lab[:-1])):
-            best = min(best, 2 * (level + 1))
-        frontier = fresh[first].astype(np.int64)
-        dist[frontier] = level + 1
-        label[frontier] = fresh_lab[first]
-        level += 1
-    return best
-
-
-def _multi_source_distances(indptr, indices, fill, n_nodes, sources):
-    """BFS distances from a set of nodes, plus their least pairwise distance.
-
-    Each source propagates its own label; the first meeting of two
-    labels gives the shortest path between two distinct sources.
+    Level-synchronized BFS in which each source propagates its own
+    label; a meeting of two labels closes a path between two distinct
+    sources.  Node `skip` is never entered (-1 skips nothing).  The
+    search stops at the first level L with ``pair_meet <= span * L``:
+    every meeting found later is at least 2L long, so span=2 stops once
+    pair_meet is exact, and span=1 stops once, in addition, every node
+    within pair_meet of a source has its distance.  Nodes not reached
+    keep distance -1.
     """
     dist = np.full(n_nodes, -1, dtype=np.int32)
     label = np.full(n_nodes, -1, dtype=np.int32)
@@ -105,9 +76,12 @@ def _multi_source_distances(indptr, indices, fill, n_nodes, sources):
     label[frontier] = np.arange(len(sources), dtype=np.int32)
     pair_meet = math.inf
     level = 0
-    while frontier.size:
+    while frontier.size and pair_meet > span * level:
         nbrs, src = _gather(indptr, indices, fill, frontier)
         src_lab = label[frontier[src]]
+        if skip >= 0:
+            keep = nbrs != skip
+            nbrs, src_lab = nbrs[keep], src_lab[keep]
         tdist = dist[nbrs]
         seen = tdist >= 0
         cross = seen & (label[nbrs] != src_lab)
@@ -127,6 +101,20 @@ def _multi_source_distances(indptr, indices, fill, n_nodes, sources):
         label[frontier] = fresh_lab[first]
         level += 1
     return dist, pair_meet
+
+
+def _min_cycle_through(indptr, indices, fill, n_nodes, root) -> float:
+    """Length of the shortest cycle through `root`, inf if none.
+
+    A cycle through the root is a path between two of its neighbors
+    that avoids the root, plus the two root edges.
+    """
+    deg = int(fill[root])
+    if deg < 2:
+        return math.inf
+    start = int(indptr[root])
+    nbrs = indices[start : start + deg]
+    return _labelled_bfs(indptr, indices, fill, n_nodes, nbrs, root, span=2)[1] + 2
 
 
 def local_girth(H: SparseBinMatrix) -> GirthReport:
@@ -205,8 +193,8 @@ def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> P
                 graph.add_edge(chk, m * n_a + int(t))
 
     def quality_row(j: int, sources) -> np.ndarray:
-        dist, pair_meet = _multi_source_distances(
-            graph.indptr, graph.indices, graph.fill, graph.n_nodes, sources
+        dist, pair_meet = _labelled_bfs(
+            graph.indptr, graph.indices, graph.fill, graph.n_nodes, sources, -1, span=1
         )
         cand = dist[j * n_a : (j + 1) * n_a].astype(np.float64)
         cand[cand < 0] = math.inf

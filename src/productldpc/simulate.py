@@ -19,6 +19,7 @@ Errors are counted over information bits only.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
@@ -27,18 +28,10 @@ from functools import partial
 
 import numpy as np
 
-from .decoder import spa_decode
+from .decoder import check_int, spa_decode
 from .gf2 import SparseBinMatrix
 
 CHUNK_FRAMES = 25
-
-
-def check_int(name: str, value, minimum: int) -> None:
-    """Reject a count that is a bool, not an integer, or below `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 class IdentityCode:
@@ -79,6 +72,9 @@ class SimConfig:
         check_int("workers", self.workers, 1)
         if not len(self.ebn0_db):
             raise ValueError("Eb/N0 grid must be nonempty")
+        for e in self.ebn0_db:
+            if isinstance(e, bool) or not isinstance(e, numbers.Real) or not math.isfinite(e):
+                raise ValueError(f"ebn0_db entries must be finite numbers, got {e!r}")
         if self.max_frames < self.min_frame_errors:
             raise ValueError("max_frames must be at least min_frame_errors")
 

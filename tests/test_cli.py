@@ -130,6 +130,39 @@ def test_bound_requires_inputs(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--weight", "16", "--multiplicity", "4", "--n", "0", "--k", "0"],
+    ["--weight", "16", "--multiplicity", "4", "--n", "10", "--k", "11"],
+    ["--spectrum", "{spec}"],
+], ids=["n0-k0", "k-above-n", "file-n0"])
+def test_bound_rejects_bad_dimensions(runner, tmp_path, args):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 0, "k": 0, "complete": false, "counts": {"16": 4}}')
+    args = [a.format(spec=spec) for a in args]
+    result = runner.invoke(
+        main, ["bound", *args, "--ebn0", "1,2", "--out", str(tmp_path / "x.csv")]
+    )
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out.startswith("error: a spectrum needs n >= 1") and "\n" not in out
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("token", ["-1", "2", "x"])
+def test_encode_accepts_only_binary_bits(runner, tmp_path, token):
+    info_path = tmp_path / "info.txt"
+    info_path.write_text(" ".join(["0"] * 8 + [token]))
+    out_path = tmp_path / "cw.txt"
+    result = runner.invoke(
+        main,
+        ["encode", "--comp-a", "spc:3", "--comp-b", "spc:3",
+         "--info", str(info_path), "--out", str(out_path)],
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.strip() == f"error: information bits must be 0 or 1, got {token!r}"
+    assert not out_path.exists()
+
+
 def test_encode_decode_round_trip(runner, tmp_path, rng):
     h_path = tmp_path / "h.alist"
     runner.invoke(
@@ -240,6 +273,26 @@ def test_simulate_rejects_non_integer_config_before_starting(runner, tmp_path, k
     out = result.output.strip()
     assert result.exit_code == 1
     assert out.startswith(f"error: {key} must be") and "\n" not in out
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": 5}', "ebn0_db list"),
+    ('[{"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [2.0]}]', "ebn0_db list"),
+    ('{"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": ["abc"]}', "ebn0_db entries"),
+    ('{"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [NaN]}', "ebn0_db entries"),
+    ('{"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [1.0, Infinity]}', "ebn0_db entries"),
+    ('{"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [true]}', "ebn0_db entries"),
+], ids=["scalar-grid", "top-level-array", "string", "nan", "infinity", "bool"])
+def test_simulate_rejects_bad_config_shape_before_starting(runner, tmp_path, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    result = runner.invoke(
+        main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]
+    )
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out.startswith("error:") and message in out and "\n" not in out
     assert not (tmp_path / "r.csv").exists()
 
 

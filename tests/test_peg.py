@@ -1,7 +1,12 @@
+import hashlib
+import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from productldpc import (
     SparseBinMatrix,
@@ -12,6 +17,7 @@ from productldpc import (
     design_circulant,
     design_generic,
     local_girth,
+    parse_component_spec,
 )
 
 
@@ -52,6 +58,54 @@ class TestLocalGirth:
     def test_histogram_counts_every_variable(self, pc144):
         report = local_girth(pc144.H)
         assert sum(report.histogram.values()) == pc144.n
+
+
+def _girth_oracle(dense: np.ndarray) -> list:
+    """Shortest cycle through each variable: the least, over its edges
+    (v, c), of 1 + the BFS distance from c back to v without that edge."""
+    m, n = dense.shape
+    adj = {("v", j): [("c", i) for i in range(m) if dense[i, j]] for j in range(n)}
+    adj.update({("c", i): [("v", j) for j in range(n) if dense[i, j]] for i in range(m)})
+    girths = []
+    for j in range(n):
+        root = ("v", j)
+        best = math.inf
+        for c in adj[root]:
+            dist = {c: 0}
+            queue = deque([c])
+            while queue:
+                x = queue.popleft()
+                for y in adj[x]:
+                    if y not in dist and {x, y} != {c, root}:
+                        dist[y] = dist[x] + 1
+                        queue.append(y)
+            if root in dist:
+                best = min(best, dist[root] + 1)
+        girths.append(best)
+    return girths
+
+
+@st.composite
+def _tanner(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return np.array(rows, dtype=np.uint8)
+
+
+# A tree with an empty row and columns of degree 0, 1 and 2.
+_ACYCLIC = np.array([[1, 1, 0, 0], [0, 0, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tanner())
+@example(_ACYCLIC)
+@example(np.zeros((2, 3), dtype=np.uint8))
+@example(np.ones((3, 3), dtype=np.uint8))
+def test_local_girth_matches_edge_removal_oracle(dense):
+    report = local_girth(SparseBinMatrix.from_dense(dense))
+    assert report.per_variable_local_girth.tolist() == _girth_oracle(dense)
 
 
 class TestDesigns:
@@ -142,3 +196,33 @@ class TestVariantComparison:
             if all(cum_g[length] <= cum_c[length] for length in lengths):
                 wins += 1
         assert wins >= len(seeds) // 2, f"generic dominated only {wins}/20 sweeps"
+
+
+# First 16 hex digits of the SHA-256 of each design's permutations as a
+# JSON list of lists, for seeds 0-3, as the designs stood when the two
+# BFS kernels were merged; any drift in a fixed-seed design fails here.
+_DESIGN_DIGESTS = {
+    ("mscmpc:5:3,4", "mscmpc:5:3,4", "circulant"):
+        ["608db16b0d580f8e", "7d3402e74e1da800", "8c5f754c3b48cd0e", "d6086d077c0ff267"],
+    ("mscmpc:5:3,4", "mscmpc:5:3,4", "generic"):
+        ["8b297dcc07427e58", "9b83a046a882bf89", "91cb5054f06eb16a", "3aef7d89a031fed5"],
+    ("spc:3", "mscmpc:5:3,4", "circulant"):
+        ["a0681362209fda3d", "bc662abec54ec55a", "85e62f8e0c024544", "903637365c22215b"],
+    ("spc:3", "mscmpc:5:3,4", "generic"):
+        ["b41323b77885cb08", "2d78d6cd1a081f6c", "7d32bbd3eb7a9638", "b611b7f6b32b6dca"],
+    ("mscmpc:9:3,4", "mscmpc:9:3,4", "circulant"):
+        ["c5799e07d232e321", "c6694c22bf41cc32", "3a2c7a5377d83235", "857abeccd8d2f104"],
+    ("mscmpc:9:3,4", "mscmpc:9:3,4", "generic"):
+        ["49444ecc934c1e09", "43cc8a22fe4ca81e", "69ee0506ff00a93d", "a4230e8c3b328567"],
+}
+
+
+@pytest.mark.parametrize("comp_a, comp_b, variant", list(_DESIGN_DIGESTS))
+def test_fixed_seed_designs_are_pinned(comp_a, comp_b, variant):
+    a, b = parse_component_spec(comp_a), parse_component_spec(comp_b)
+    design = design_circulant if variant == "circulant" else design_generic
+    digests = []
+    for seed in range(4):
+        doc = json.dumps([[int(x) for x in p] for p in design(a, b, seed).perms])
+        digests.append(hashlib.sha256(doc.encode()).hexdigest()[:16])
+    assert digests == _DESIGN_DIGESTS[comp_a, comp_b, variant]
