@@ -1,10 +1,13 @@
 """Weight spectra and union bounds.
 
-Small codes are enumerated exhaustively with Gray-coded incremental
-encoding (one generator word XOR per step).  Component codes get a
-meet-in-the-middle search over parity-check columns for the low-weight
-terms, which is what drives minimum-distance and error-floor numbers
-for sizes far beyond exhaustive reach.
+Small codes are enumerated exhaustively by meet in the middle: the
+codewords spanned by the low and by the high half of the generator rows
+are tabulated as packed 64-bit words, and every (high, low) pair is
+XORed and weighed with a popcount, a block of pairs at a time.
+Component codes get a meet-in-the-middle search over parity-check
+columns for the low-weight terms, which is what drives
+minimum-distance and error-floor numbers for sizes far beyond
+exhaustive reach.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .components import ComponentCode, encode_systematic
 from .product import ProductCode
 
 EXHAUSTIVE_K_LIMIT = 28
+# (high, low) pairs weighed per block: fixes the block buffers at a few MB.
+_PAIRS_PER_BLOCK = 1 << 18
 LOW_WEIGHT_MAX = 4
 
 
@@ -78,28 +83,47 @@ def load_spectrum(path) -> WeightSpectrum:
         return WeightSpectrum.from_json_dict(json.load(fh))
 
 
-def _pack_bits(bits: np.ndarray) -> int:
-    return int.from_bytes(
-        np.packbits(bits.astype(np.uint8), bitorder="little").tobytes(), "little"
-    )
+def _generator_words(code) -> np.ndarray:
+    """Codewords of the k unit information words as (k, W) uint64 words.
 
-
-def _generator_words(code) -> list[int]:
-    """Packed codewords of the k unit information words."""
+    Bit j of a codeword is bit j % 64 of word j // 64; W = ceil(n / 64)
+    and the padding bits of the last word are zero.
+    """
     if isinstance(code, ProductCode):
         encode = code.encode
     elif isinstance(code, ComponentCode):
         encode = partial(encode_systematic, code)
     else:
         raise TypeError(f"cannot enumerate {type(code).__name__}")
-    return [_pack_bits(encode(unit)) for unit in np.eye(code.k, dtype=np.uint8)]
+    n_words = -(-code.n // 64)
+    packed = np.zeros((code.k, 8 * n_words), dtype=np.uint8)
+    for row, unit in zip(packed, np.eye(code.k, dtype=np.uint8)):
+        octets = np.packbits(encode(unit), bitorder="little")
+        row[: octets.size] = octets
+    return packed.view("<u8")
+
+
+def _span(gens: np.ndarray) -> np.ndarray:
+    """All 2^m XOR combinations of the m rows of gens.
+
+    Row i of the table is the combination whose bit j selects row j.
+    """
+    table = np.zeros((1 << len(gens), gens.shape[1]), dtype=gens.dtype)
+    for j, g in enumerate(gens):
+        half = 1 << j
+        np.bitwise_xor(table[:half], g, out=table[half : 2 * half])
+    return table
 
 
 def exhaustive_spectrum(code) -> WeightSpectrum:
     """Exact weight spectrum by enumerating all 2^k codewords.
 
-    Accepts a ProductCode or a ComponentCode.  Information words are
-    visited in Gray order so each step XORs a single generator word.
+    Accepts a ProductCode or a ComponentCode.  Each codeword is the XOR
+    of a combination of the low ceil(k/2) generator rows with a
+    combination of the high floor(k/2) rows; blocks of high combinations
+    are XORed against the whole low table one 64-bit word at a time,
+    the per-word popcounts summed into weights and the weights
+    histogrammed.
     """
     if code.k > EXHAUSTIVE_K_LIMIT:
         raise ValueError(
@@ -107,16 +131,29 @@ def exhaustive_spectrum(code) -> WeightSpectrum:
             "use low_weight_search for large codes"
         )
     gens = _generator_words(code)
-    counts = [0] * (code.n + 1)
-    word = 0
-    counts[0] += 1
-    for i in range(1, 1 << code.k):
-        word ^= gens[(i & -i).bit_length() - 1]
-        counts[word.bit_count()] += 1
+    split = (code.k + 1) // 2
+    low = np.ascontiguousarray(_span(gens[:split]).T)  # (W, 2^split)
+    high = _span(gens[split:])
+    rows = max(1, _PAIRS_PER_BLOCK // low.shape[1])
+    xor = np.empty((rows, low.shape[1]), dtype=np.uint64)
+    pop = np.empty(xor.shape, dtype=np.uint8)
+    # The weight reaches n, so the accumulator must hold n (uint8 would
+    # wrap for n > 255).
+    weight = np.empty(xor.shape, dtype=np.min_scalar_type(code.n))
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for start in range(0, len(high), rows):
+        block = high[start : start + rows]
+        b = len(block)
+        weight[:b] = 0
+        for word in range(low.shape[0]):
+            np.bitwise_xor(block[:, word, None], low[word], out=xor[:b])
+            np.bitwise_count(xor[:b], out=pop[:b])
+            np.add(weight[:b], pop[:b], out=weight[:b])
+        counts += np.bincount(weight[:b].ravel(), minlength=code.n + 1)
     return WeightSpectrum(
         n=code.n,
         k=code.k,
-        counts={w: c for w, c in enumerate(counts) if c},
+        counts={w: int(c) for w, c in enumerate(counts) if c},
         complete=True,
     )
 

@@ -52,15 +52,20 @@ def _fail_cleanly(fn):
 
 
 def _parse_ebn0(text: str) -> list:
-    """Comma list ("1,2,3") or inclusive range ("start:stop:step")."""
+    """Comma list ("1,2,3") or inclusive range ("start:stop:step"), all finite."""
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
-            raise ValueError(f"bad Eb/N0 range {text!r}, use start:stop:step")
+        if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0:
+            raise ValueError(
+                f"bad Eb/N0 range {text!r}, use start:stop:step with finite values"
+            )
         start, stop, step = parts
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(max(count, 0))]
-    return [float(p) for p in text.split(",") if p]
+    grid = [float(p) for p in text.split(",") if p]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"Eb/N0 values must be finite, got {text!r}")
+    return grid
 
 
 def _build_code(comp_a: str, comp_b: str, perms_path):
@@ -267,6 +272,11 @@ def simulate(config_path, out, workers):
     if "uncoded_n" in doc:
         code = IdentityCode(doc["uncoded_n"])
     else:
+        for key in ("comp_a", "comp_b"):
+            if not isinstance(doc.get(key), str):
+                raise ValueError(f"config {key} must be a component spec string")
+        if not isinstance(doc.get("perms"), (str, type(None))):
+            raise ValueError("config perms must be a path string or null")
         code = _build_code(doc["comp_a"], doc["comp_b"], doc.get("perms"))
     cfg = SimConfig(
         code=code,

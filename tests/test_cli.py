@@ -148,6 +148,19 @@ def test_bound_rejects_bad_dimensions(runner, tmp_path, args):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("ebn0", ["nan,1", "1,inf", "-inf", "0:inf:1", "nan:2:1", "0:2:nan"])
+def test_bound_rejects_non_finite_ebn0(runner, tmp_path, ebn0):
+    result = runner.invoke(
+        main,
+        ["bound", "--weight", "4", "--multiplicity", "3", "--n", "9", "--k", "4",
+         "--ebn0", ebn0, "--out", str(tmp_path / "x.csv")],
+    )
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out.startswith("error:") and "finite" in out and "\n" not in out
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("token", ["-1", "2", "x"])
 def test_encode_accepts_only_binary_bits(runner, tmp_path, token):
     info_path = tmp_path / "info.txt"
@@ -283,7 +296,13 @@ def test_simulate_rejects_non_integer_config_before_starting(runner, tmp_path, k
     ('{"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [NaN]}', "ebn0_db entries"),
     ('{"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [1.0, Infinity]}', "ebn0_db entries"),
     ('{"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [true]}', "ebn0_db entries"),
-], ids=["scalar-grid", "top-level-array", "string", "nan", "infinity", "bool"])
+    ('{"comp_a": 5, "comp_b": "spc:3", "ebn0_db": [2.0]}', "comp_a must be"),
+    ('{"comp_a": "spc:3", "comp_b": ["spc:3"], "ebn0_db": [2.0]}', "comp_b must be"),
+    ('{"comp_b": "spc:3", "ebn0_db": [2.0]}', "comp_a must be"),
+    ('{"comp_a": "spc:3", "comp_b": "spc:3", "perms": 7, "ebn0_db": [2.0]}', "perms must be"),
+    ('{"comp_a": "spc:3", "comp_b": "spc:3", "perms": true, "ebn0_db": [2.0]}', "perms must be"),
+], ids=["scalar-grid", "top-level-array", "string", "nan", "infinity", "bool",
+        "int-comp-a", "list-comp-b", "missing-comp-a", "int-perms", "bool-perms"])
 def test_simulate_rejects_bad_config_shape_before_starting(runner, tmp_path, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
