@@ -8,8 +8,6 @@ degree.  write_alist/read_alist round-trip bit-exactly.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .gf2 import SparseBinMatrix
 
 
@@ -56,7 +54,6 @@ def read_alist(path) -> SparseBinMatrix:
     col_deg = take(cols)
     row_deg = take(rows)
 
-    row_support = [np.empty(0, dtype=np.int64)] * rows
     # Column index lists fully determine the matrix; the row lists are
     # read and checked for consistency.
     entries_by_row: list[list[int]] = [[] for _ in range(rows)]
@@ -72,7 +69,6 @@ def read_alist(path) -> SparseBinMatrix:
     for r in range(rows):
         vals = take(max_row)
         nz = sorted(v - 1 for v in vals if v != 0)
-        if nz != sorted(entries_by_row[r]) or len(nz) != row_deg[r]:
+        if nz != entries_by_row[r] or len(nz) != row_deg[r]:
             raise ValueError(f"row {r}: row and column index lists disagree")
-        row_support[r] = np.array(nz, dtype=np.int64)
-    return SparseBinMatrix(rows, cols, row_support)
+    return SparseBinMatrix(rows, cols, entries_by_row)

@@ -51,6 +51,9 @@ def _fail_cleanly(fn):
     return wrapper
 
 
+MAX_EBN0_POINTS = 100_000
+
+
 def _parse_ebn0(text: str) -> list:
     """Comma list ("1,2,3") or inclusive range ("start:stop:step"), all finite."""
     if ":" in text:
@@ -60,8 +63,13 @@ def _parse_ebn0(text: str) -> list:
                 f"bad Eb/N0 range {text!r}, use start:stop:step with finite values"
             )
         start, stop, step = parts
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(count, 0))]
+        # Compared as a float first: finite bounds can still give inf here.
+        steps = (stop - start) / step + 1e-9
+        if steps >= MAX_EBN0_POINTS:
+            raise ValueError(
+                f"Eb/N0 range {text!r} has more than {MAX_EBN0_POINTS} points"
+            )
+        return [start + i * step for i in range(max(math.floor(steps) + 1, 0))]
     grid = [float(p) for p in text.split(",") if p]
     if not all(map(math.isfinite, grid)):
         raise ValueError(f"Eb/N0 values must be finite, got {text!r}")

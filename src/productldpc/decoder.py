@@ -60,7 +60,7 @@ class _EdgePlan:
     """
 
     def __init__(self, H: SparseBinMatrix) -> None:
-        indptr, indices = H.csr()
+        indptr, indices = H.indptr, H.indices
         deg = np.diff(indptr)
         degrees = np.unique(deg[deg > 0])
         self.n = H.cols

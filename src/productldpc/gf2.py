@@ -1,9 +1,10 @@
 """Sparse binary linear algebra over GF(2).
 
-Parity-check matrices are stored row-sparse: for each row, the sorted
-column indices of its nonzero entries.  Bit vectors cross the module
-boundary as 0/1 integer arrays; any packed representation used
-internally (e.g. for rank elimination) stays internal.
+Parity-check matrices are stored in compressed sparse row (CSR) form:
+row i's nonzero columns are ``indices[indptr[i]:indptr[i + 1]]``, in
+strictly increasing order.  Bit vectors cross the module boundary as
+0/1 integer arrays; any packed representation used internally (e.g.
+for rank elimination) stays internal.
 """
 
 from __future__ import annotations
@@ -13,98 +14,104 @@ import numpy as np
 _IDX = np.int32
 
 
-def _as_support(entries, cols: int) -> np.ndarray:
-    arr = np.asarray(entries, dtype=_IDX)
-    if arr.ndim != 1:
-        raise ValueError("row support must be one-dimensional")
-    if arr.size:
-        if arr[0] < 0 or arr[-1] >= cols:
-            if np.any(arr < 0) or np.any(arr >= cols):
-                raise ValueError(f"column index out of range [0, {cols})")
-        if np.any(np.diff(arr) <= 0):
-            raise ValueError("row support must be strictly increasing")
-    arr.flags.writeable = False
-    return arr
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """Row index of every stored entry, in storage order."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+
+
+def _bounds(counts) -> np.ndarray:
+    """Segment boundaries [0, c0, c0 + c1, ...] of consecutive counts."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def _segments(values: np.ndarray, indptr: np.ndarray) -> list[np.ndarray]:
+    bounds = indptr.tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class SparseBinMatrix:
-    """Binary matrix stored as per-row sorted column-index lists.
+    """Binary matrix in CSR form: ``indptr`` (int64) and ``indices`` (int32).
 
-    Immutable after construction; instances may be shared freely across
-    threads and worker processes.
+    Both arrays are validated once, when the matrix is built, and are
+    read-only; instances may be shared freely across threads and worker
+    processes.
     """
 
-    __slots__ = ("rows", "cols", "row_support", "_csr", "_colsup")
+    __slots__ = ("rows", "cols", "indptr", "indices")
 
     def __init__(self, rows: int, cols: int, row_support) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(row_support) != rows:
             raise ValueError(f"expected {rows} support lists, got {len(row_support)}")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.row_support = [_as_support(r, cols) for r in row_support]
-        self._csr = None
-        self._colsup = None
+        supports = [np.asarray(r, dtype=_IDX) for r in row_support]
+        if any(sup.ndim != 1 for sup in supports):
+            raise ValueError("row support must be one-dimensional")
+        c = np.concatenate([np.empty(0, dtype=_IDX), *supports])
+        if c.size and (c.min() < 0 or c.max() >= cols):
+            raise ValueError(f"column index out of range [0, {cols})")
+        # Row-major positions increase strictly iff every row's support does.
+        pos = _row_ids(_bounds([sup.size for sup in supports])) * cols + c
+        if np.any(np.diff(pos) <= 0):
+            raise ValueError("row support must be strictly increasing")
+        self._store(int(rows), int(cols), pos)
+
+    def _store(self, rows: int, cols: int, pos: np.ndarray) -> None:
+        """Keep the entries at sorted, distinct row-major positions row*cols + col."""
+        self.rows = rows
+        self.cols = cols
+        self.indptr = _bounds(np.bincount(pos // cols, minlength=rows))
+        self.indices = (pos % cols).astype(_IDX)
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+
+    @classmethod
+    def _from_coords(cls, rows: int, cols: int, r, c) -> "SparseBinMatrix":
+        """Matrix with a 1 at each (r[t], c[t]): distinct, in any order."""
+        m = cls.__new__(cls)
+        m._store(rows, cols, np.sort(np.asarray(r, dtype=np.int64) * cols + c))
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "SparseBinMatrix":
-        return cls(n, n, [[i] for i in range(n)])
+        return cls._from_coords(n, n, np.arange(n), np.arange(n))
 
     @classmethod
     def from_dense(cls, a) -> "SparseBinMatrix":
         a = np.asarray(a)
         if a.ndim != 2:
             raise ValueError("dense input must be two-dimensional")
-        return cls(a.shape[0], a.shape[1], [np.nonzero(row % 2)[0] for row in a])
+        return cls._from_coords(a.shape[0], a.shape[1], *np.nonzero(a % 2))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, sup in enumerate(self.row_support):
-            out[i, sup] = 1
+        out[_row_ids(self.indptr), self.indices] = 1
         return out
 
     @property
     def nnz(self) -> int:
-        return sum(len(sup) for sup in self.row_support)
+        return int(self.indptr[-1])
+
+    @property
+    def row_support(self) -> list[np.ndarray]:
+        """Per-row sorted column indices, as read-only views of ``indices``."""
+        return _segments(self.indices, self.indptr)
 
     def row_weights(self) -> np.ndarray:
-        return np.array([len(sup) for sup in self.row_support], dtype=np.int64)
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) arrays of the row-compressed form."""
-        if self._csr is None:
-            indptr = np.zeros(self.rows + 1, dtype=np.int64)
-            np.cumsum(self.row_weights(), out=indptr[1:])
-            indices = (
-                np.concatenate(self.row_support)
-                if self.rows and indptr[-1]
-                else np.empty(0, dtype=_IDX)
-            )
-            self._csr = (indptr, indices)
-        return self._csr
+        return np.diff(self.indptr)
 
     def col_support(self) -> list[np.ndarray]:
         """Per-column sorted row indices (transpose of row_support)."""
-        if self._colsup is None:
-            indptr, indices = self.csr()
-            edge_rows = np.repeat(
-                np.arange(self.rows, dtype=_IDX), np.diff(indptr)
-            )
-            order = np.argsort(indices, kind="stable")
-            sorted_cols = indices[order]
-            splits = np.searchsorted(sorted_cols, np.arange(1, self.cols))
-            self._colsup = [
-                np.array(part, dtype=_IDX)
-                for part in np.split(edge_rows[order], splits)
-            ]
-        return self._colsup
+        order = np.argsort(self.indices, kind="stable")
+        col_ptr = _bounds(np.bincount(self.indices, minlength=self.cols))
+        return _segments(_row_ids(self.indptr)[order].astype(_IDX), col_ptr)
 
     def take_rows(self, count: int) -> "SparseBinMatrix":
         """First `count` rows, column count unchanged."""
         if not 0 <= count <= self.rows:
             raise ValueError(f"cannot take {count} rows from {self.rows}")
-        return SparseBinMatrix(count, self.cols, self.row_support[:count])
+        r = _row_ids(self.indptr[: count + 1])
+        return SparseBinMatrix._from_coords(count, self.cols, r, self.indices[: r.size])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseBinMatrix):
@@ -112,10 +119,8 @@ class SparseBinMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.row_support, other.row_support)
-            )
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __hash__(self):
@@ -134,23 +139,18 @@ def vstack(mats) -> SparseBinMatrix:
     for m in mats[1:]:
         if m.cols != cols:
             raise ValueError(f"column mismatch in vstack: {m.cols} != {cols}")
-    support = [sup for m in mats for sup in m.row_support]
-    return SparseBinMatrix(sum(m.rows for m in mats), cols, support)
+    first = _bounds([m.rows for m in mats])
+    r = np.concatenate([_row_ids(m.indptr) + off for m, off in zip(mats, first)])
+    c = np.concatenate([m.indices for m in mats])
+    return SparseBinMatrix._from_coords(int(first[-1]), cols, r, c)
 
 
 def kron(a: SparseBinMatrix, b: SparseBinMatrix) -> SparseBinMatrix:
     """Kronecker product: entry ((i*b.rows+u),(j*b.cols+v)) = a[i,j]*b[u,v]."""
-    out_rows = a.rows * b.rows
-    out_cols = a.cols * b.cols
-    support: list = []
-    for sup_a in a.row_support:
-        scaled = sup_a.astype(np.int64) * b.cols
-        for sup_b in b.row_support:
-            if scaled.size and sup_b.size:
-                support.append((scaled[:, None] + sup_b[None, :]).ravel())
-            else:
-                support.append(np.empty(0, dtype=_IDX))
-    return SparseBinMatrix(out_rows, out_cols, support)
+    r = _row_ids(a.indptr)[:, None] * b.rows + _row_ids(b.indptr)
+    c = a.indices.astype(np.int64)[:, None] * b.cols + b.indices
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    return SparseBinMatrix._from_coords(rows, cols, r.ravel(), c.ravel())
 
 
 def vec_kron(a: SparseBinMatrix, bbar: SparseBinMatrix, w: int) -> SparseBinMatrix:
@@ -167,19 +167,18 @@ def vec_kron(a: SparseBinMatrix, bbar: SparseBinMatrix, w: int) -> SparseBinMatr
             f"block operand has {bbar.cols} columns, expected "
             f"{w} * {a.cols} = {w * a.cols}"
         )
-    # Bucket each bbar row's support by block index; supports are sorted,
-    # so each bucket is sorted and concatenation over ascending blocks is too.
-    boundaries = np.arange(1, a.cols, dtype=np.int64) * w
-    buckets = [
-        np.split(sup, np.searchsorted(sup, boundaries)) for sup in bbar.row_support
-    ]
-    empty = np.empty(0, dtype=_IDX)
-    support = []
-    for sup_a in a.row_support:
-        for bu in buckets:
-            parts = [bu[i] for i in sup_a]
-            support.append(np.concatenate(parts) if parts else empty)
-    return SparseBinMatrix(a.rows * bbar.rows, bbar.cols, support)
+    # bbar's entries grouped by block, block j holding [lo[j], lo[j + 1]).
+    block = bbar.indices // w
+    order = np.argsort(block, kind="stable")
+    lo = _bounds(np.bincount(block, minlength=a.cols))
+    # Pair each entry (i, j) of a with every bbar entry (u, c) of block j.
+    count = np.diff(lo)[a.indices]
+    a_of = np.repeat(np.arange(a.nnz), count)
+    skip = _bounds(count)[:-1] - lo[a.indices]
+    b_of = order[np.arange(a_of.size) - np.repeat(skip, count)]
+    r = _row_ids(a.indptr)[a_of] * bbar.rows + _row_ids(bbar.indptr)[b_of]
+    c = bbar.indices[b_of]
+    return SparseBinMatrix._from_coords(a.rows * bbar.rows, bbar.cols, r, c)
 
 
 def density(m: SparseBinMatrix) -> float:
@@ -190,15 +189,8 @@ def density(m: SparseBinMatrix) -> float:
 
 
 def _packed_rows(m: SparseBinMatrix) -> list[int]:
-    words = []
-    nbytes = (m.cols + 7) // 8
-    for sup in m.row_support:
-        buf = np.zeros(nbytes * 8, dtype=np.uint8)
-        buf[sup] = 1
-        words.append(
-            int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
-        )
-    return words
+    packed = np.packbits(m.to_dense(), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def rank_gf2(m: SparseBinMatrix) -> int:
@@ -222,11 +214,9 @@ def syndrome(m: SparseBinMatrix, x) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (m.cols,):
         raise ValueError(f"vector length {x.shape} does not match {m.cols} columns")
-    if m.rows == 0:
-        return np.zeros(0, dtype=np.uint8)
-    indptr, indices = m.csr()
-    edge_rows = np.repeat(np.arange(m.rows), np.diff(indptr))
-    sums = np.bincount(edge_rows, weights=x[indices].astype(np.float64), minlength=m.rows)
+    sums = np.bincount(
+        _row_ids(m.indptr), weights=x[m.indices].astype(np.float64), minlength=m.rows
+    )
     return (sums.astype(np.int64) & 1).astype(np.uint8)
 
 
@@ -280,9 +270,6 @@ class PermutationArray:
         Block j has a 1 at (i, perms[j][i]).
         """
         n_a = self.n_a
-        offsets = np.arange(len(self.perms), dtype=np.int64) * n_a
-        support = [
-            offsets + np.array([p[i] for p in self.perms])
-            for i in range(n_a)
-        ]
-        return SparseBinMatrix(n_a, n_a * len(self.perms), support)
+        k = np.arange(n_a * len(self.perms))  # entry k: row k % n_a of block k // n_a
+        flat = np.array(self.perms, dtype=np.int64).reshape(-1)
+        return SparseBinMatrix._from_coords(n_a, k.size, k % n_a, k - k % n_a + flat)

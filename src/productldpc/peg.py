@@ -122,10 +122,9 @@ def local_girth(H: SparseBinMatrix) -> GirthReport:
     if H.rows == 0 or H.cols == 0:
         raise ValueError("girth of an empty matrix is undefined")
     n, m = H.cols, H.rows
-    indptr_h, cols = H.csr()
-    checks = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr_h)) + n
-    ends = np.concatenate([cols.astype(np.int64), checks])
-    other = np.concatenate([checks, cols.astype(np.int64)])
+    checks = np.repeat(np.arange(m, dtype=np.int64), np.diff(H.indptr)) + n
+    ends = np.concatenate([H.indices.astype(np.int64), checks])
+    other = np.concatenate([checks, H.indices.astype(np.int64)])
     deg = np.bincount(ends, minlength=n + m).astype(np.int32)
     indptr = np.zeros(n + m + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
@@ -171,6 +170,7 @@ def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> P
 
     colsup_a = a.H.col_support()
     colsup_b = b.H.col_support()
+    rowsup_a = a.H.row_support
     roww_b = b.H.row_weights()
 
     capacity = np.zeros(n_vars + k_b * r_a + r_b * n_a, dtype=np.int64)
@@ -179,15 +179,13 @@ def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> P
         extra = len(colsup_b[j])
         for t in range(n_a):
             capacity[var_base + t] = extra + (len(colsup_a[t]) if j < k_b else 0)
-    for m in range(k_b):
-        for i, sup in enumerate(a.H.row_support):
-            capacity[chk1_base + m * r_a + i] = len(sup)
+    capacity[chk1_base:chk2_base] = np.tile(a.H.row_weights(), k_b)
     for s in range(r_b):
         capacity[chk2_base + s * n_a : chk2_base + (s + 1) * n_a] = roww_b[s]
 
     graph = _DesignGraph(capacity)
     for m in range(k_b):
-        for i, sup in enumerate(a.H.row_support):
+        for i, sup in enumerate(rowsup_a):
             chk = chk1_base + m * r_a + i
             for t in sup:
                 graph.add_edge(chk, m * n_a + int(t))

@@ -15,6 +15,7 @@ import json
 import numpy as np
 
 from .components import ComponentCode
+from .decoder import check_int
 from .gf2 import PermutationArray, SparseBinMatrix, kron, vec_kron, vstack
 
 
@@ -125,7 +126,14 @@ def save_permutation_array(perms: PermutationArray, path, meta: dict | None = No
 
 
 def load_permutation_array(path) -> PermutationArray:
+    """Read a file written by save_permutation_array; reject any other shape."""
     with open(path) as fh:
         doc = json.load(fh)
-    perms = [np.asarray(p, dtype=np.int64) - 1 for p in doc["perms"]]
-    return PermutationArray(int(doc["n_a"]), perms)
+    if not isinstance(doc, dict) or not isinstance(doc.get("perms"), list):
+        raise ValueError(f"{path}: expected a JSON object with a perms list")
+    n_a = doc.get("n_a")
+    check_int("n_a", n_a, 1)
+    for j, p in enumerate(doc["perms"]):
+        if not isinstance(p, list) or not all(type(v) is int and 1 <= v <= n_a for v in p):
+            raise ValueError(f"{path}: block {j} must be a list of integers in 1..{n_a}")
+    return PermutationArray(n_a, [np.asarray(p, dtype=np.int64) - 1 for p in doc["perms"]])

@@ -1,8 +1,14 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from productldpc import SparseBinMatrix, build_mscmpc
+from productldpc import SparseBinMatrix, build_hp, build_hp_interleaved, build_mscmpc
 from productldpc.alist import read_alist, write_alist
+from productldpc.product import load_permutation_array
+
+DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 def test_round_trip_small(tmp_path, rng):
@@ -62,3 +68,26 @@ def test_inconsistent_lists_rejected(tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError):
         read_alist(path)
+
+
+# SHA-256 of the alist text each product construction wrote when these
+# pins were recorded; any change to the matrix or its text format shows.
+@pytest.mark.parametrize("k, stages, perms, digest", [
+    (5, [3, 4], None,
+     "58e8b42507b8026075d6601ead0476f8a682a5a561d32988623b9cf82088168b"),
+    (5, [3, 4], "perms_mscmpc5_seed1.json",
+     "cb6a42a349560515fcb1d07655414c257c19d719e8d6101d18ac23b9847e37d2"),
+    (81, [9, 10], None,
+     "9d97874461dc063cb7b14614f6d1583c0d9d1748de4937db0e4241c44c5d7c61"),
+    (81, [9, 10], "perms_mscmpc81_seed1.json",
+     "b0223e572470f14d5b590a0b3890b8fe0c554e12ce2908480c73c84c2a93c230"),
+], ids=["direct-144", "interleaved-144", "direct-10000", "interleaved-10000"])
+def test_product_alist_bytes_are_pinned(tmp_path, k, stages, perms, digest):
+    comp = build_mscmpc(k, stages)
+    if perms is None:
+        code = build_hp(comp, comp)
+    else:
+        code = build_hp_interleaved(comp, comp, load_permutation_array(DATA / perms))
+    path = tmp_path / "h.alist"
+    write_alist(code.H, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,26 @@ def test_bound_rejects_non_finite_ebn0(runner, tmp_path, ebn0):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("ebn0", ["0:1e9:1e-9", "-1e308:1e308:1"],
+                         ids=["1e18-points", "inf-points"])
+def test_bound_rejects_oversized_ebn0_range_before_building_it(runner, tmp_path, ebn0):
+    tracemalloc.start()
+    try:
+        result = runner.invoke(
+            main,
+            ["bound", "--weight", "4", "--multiplicity", "3", "--n", "9", "--k", "4",
+             "--ebn0", ebn0, "--out", str(tmp_path / "x.csv")],
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out.startswith("error:") and "100000 points" in out and "\n" not in out
+    assert peak < 1 << 20  # the grid was never built
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("token", ["-1", "2", "x"])
 def test_encode_accepts_only_binary_bits(runner, tmp_path, token):
     info_path = tmp_path / "info.txt"
@@ -173,6 +194,28 @@ def test_encode_accepts_only_binary_bits(runner, tmp_path, token):
     )
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output.strip() == f"error: information bits must be 0 or 1, got {token!r}"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    [[1, 2, 3]] * 3,
+    {"n_a": 3, "perms": 5},
+    {"n_a": 3, "perms": [[1.5, 2, 3], [1, 2, 3], [1, 2, 3]]},
+    {"n_a": 3, "perms": [[True, 2, 3], [1, 2, 3], [1, 2, 3]]},
+    {"n_a": 3.9, "perms": [[1, 2, 3]] * 3},
+], ids=["top-level-array", "scalar-perms", "float-entry", "bool-entry", "float-n_a"])
+def test_construct_rejects_malformed_permutation_file(runner, tmp_path, doc):
+    perms = tmp_path / "perms.json"
+    perms.write_text(json.dumps(doc))
+    out_path = tmp_path / "h.alist"
+    result = runner.invoke(
+        main,
+        ["construct", "--comp-a", "spc:2", "--comp-b", "spc:2",
+         "--perms", str(perms), "--out", str(out_path)],
+    )
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out.startswith("error:") and "\n" not in out
     assert not out_path.exists()
 
 

@@ -28,7 +28,7 @@ class _EdgeStructure:
     """Edge-parallel view of H, sorted by check node."""
 
     def __init__(self, H: SparseBinMatrix) -> None:
-        indptr, indices = H.csr()
+        indptr, indices = H.indptr, H.indices
         deg = np.diff(indptr)
         nonempty = np.flatnonzero(deg > 0)
         self.var = np.concatenate(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from productldpc import (
     PermutationArray,
@@ -40,6 +42,24 @@ def random_sparse(rng, rows, cols, p=0.3):
     return SparseBinMatrix.from_dense(rng.random((rows, cols)) < p)
 
 
+# Small shapes, zero rows and zero columns included; empty rows and
+# columns come up in most draws.
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _dense(draw, rows=None, cols=None):
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    bits = draw(st.lists(st.lists(st.booleans(), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return np.array(bits, dtype=np.uint8).reshape(rows, cols)
+
+
+def _supports(d):
+    return [np.nonzero(row)[0].tolist() for row in d]
+
+
 class TestSparseBinMatrix:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
@@ -58,15 +78,51 @@ class TestSparseBinMatrix:
         assert m.nnz == 2
         assert np.array_equal(m.to_dense()[0], [0, 0, 0, 0])
 
-    def test_dense_round_trip(self, rng):
-        a = (rng.random((7, 11)) < 0.4).astype(np.uint8)
-        assert np.array_equal(SparseBinMatrix.from_dense(a).to_dense(), a)
+    @PROPERTY
+    @given(_dense())
+    def test_dense_round_trip(self, d):
+        m = SparseBinMatrix.from_dense(d)
+        assert m == SparseBinMatrix(*d.shape, _supports(d))
+        assert np.array_equal(m.to_dense(), d)
+        assert m.nnz == d.sum()
+        assert np.array_equal(m.row_weights(), d.sum(axis=1))
+        assert [sup.tolist() for sup in m.row_support] == _supports(d)
 
-    def test_col_support_is_transpose(self, rng):
-        m = random_sparse(rng, 6, 9)
-        d = m.to_dense()
-        for c, sup in enumerate(m.col_support()):
-            assert np.array_equal(sup, np.nonzero(d[:, c])[0])
+    @PROPERTY
+    @given(_dense())
+    def test_col_support_is_transpose(self, d):
+        m = SparseBinMatrix.from_dense(d)
+        assert [sup.tolist() for sup in m.col_support()] == _supports(d.T)
+
+    @PROPERTY
+    @given(st.data())
+    def test_vstack_and_take_rows_against_dense(self, data):
+        top = data.draw(_dense())
+        bottom = data.draw(_dense(cols=top.shape[1]))
+        count = data.draw(st.integers(0, top.shape[0]))
+        a, b = SparseBinMatrix.from_dense(top), SparseBinMatrix.from_dense(bottom)
+        assert np.array_equal(vstack([a, b]).to_dense(), np.vstack([top, bottom]))
+        assert np.array_equal(a.take_rows(count).to_dense(), top[:count])
+
+    @PROPERTY
+    @given(st.data(), st.sampled_from(["out-of-range", "unsorted", "duplicate", "2-D"]))
+    def test_rejects_one_bad_row_anywhere(self, data, fault):
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 5))
+        d = data.draw(_dense(rows=rows, cols=cols))
+        supports = _supports(d)
+        i = data.draw(st.integers(0, rows - 1))
+        row = supports[i]
+        if fault == "out-of-range":
+            supports[i], message = row + [cols], "out of range"
+        elif fault == "unsorted":
+            supports[i] = row[::-1] if len(row) >= 2 else [1, 0]
+            message = "strictly increasing"
+        elif fault == "duplicate":
+            supports[i], message = (row + row[-1:] if row else [0, 0]), "strictly increasing"
+        else:
+            supports[i], message = [row], "one-dimensional"
+        with pytest.raises(ValueError, match=message):
+            SparseBinMatrix(rows, cols, supports)
 
 
 class TestKron:
@@ -87,13 +143,11 @@ class TestKron:
         out = kron(a, SparseBinMatrix.identity(2))
         assert np.array_equal(out.to_dense(), [[1, 0, 1, 0], [0, 1, 0, 1]])
 
-    def test_matches_numpy_kron(self, rng):
-        for _ in range(5):
-            a = random_sparse(rng, 3, 4)
-            b = random_sparse(rng, 2, 5)
-            assert np.array_equal(
-                kron(a, b).to_dense(), np.kron(a.to_dense(), b.to_dense())
-            )
+    @PROPERTY
+    @given(_dense(), _dense())
+    def test_matches_numpy_kron(self, a, b):
+        out = kron(SparseBinMatrix.from_dense(a), SparseBinMatrix.from_dense(b))
+        assert np.array_equal(out.to_dense(), np.kron(a, b))
 
 
 class TestVecKron:
@@ -130,10 +184,12 @@ class TestVecKron:
         out = vec_kron(a, bbar, 3)
         assert np.array_equal(out.to_dense(), self.dense_vec_kron(a, bbar, 3))
 
-    @pytest.mark.parametrize("w", [2, 3, 4])
-    def test_random_against_dense_expansion(self, rng, w):
-        a = random_sparse(rng, 3, 4)
-        bbar = random_sparse(rng, 5, w * 4, p=0.4)
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    @PROPERTY
+    @given(data=st.data())
+    def test_random_against_dense_expansion(self, w, data):
+        a = SparseBinMatrix.from_dense(data.draw(_dense()))
+        bbar = SparseBinMatrix.from_dense(data.draw(_dense(cols=w * a.cols)))
         out = vec_kron(a, bbar, w)
         assert np.array_equal(out.to_dense(), self.dense_vec_kron(a, bbar, w))
 
@@ -234,6 +290,16 @@ class TestPermutationArray:
         p1 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert np.array_equal(dense[:, :3], p1)
         assert np.array_equal(dense[:, 3:], np.eye(3, dtype=np.uint8))
+
+    @PROPERTY
+    @given(st.data())
+    def test_to_matrix_against_dense(self, data):
+        n_a = data.draw(st.integers(1, 5))
+        perms = data.draw(st.lists(st.permutations(range(n_a)), max_size=4))
+        expected = np.zeros((n_a, n_a * len(perms)), dtype=np.uint8)
+        for j, p in enumerate(perms):
+            expected[np.arange(n_a), j * n_a + np.array(p)] = 1
+        assert np.array_equal(PermutationArray(n_a, perms).to_matrix().to_dense(), expected)
 
     def test_random_is_valid(self, rng):
         pa = PermutationArray.random(9, 4, rng)
