@@ -44,10 +44,14 @@ class SparseBinMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(row_support) != rows:
             raise ValueError(f"expected {rows} support lists, got {len(row_support)}")
-        supports = [np.asarray(r, dtype=_IDX) for r in row_support]
+        supports = [np.asarray(r) for r in row_support]
         if any(sup.ndim != 1 for sup in supports):
             raise ValueError("row support must be one-dimensional")
-        c = np.concatenate([np.empty(0, dtype=_IDX), *supports])
+        if any(sup.size and sup.dtype.kind not in "iu" for sup in supports):
+            raise ValueError("row support entries must be integers")
+        # Range-checked at 64 bits, so no index wraps into range.
+        supports = [np.asarray(sup, dtype=np.int64) for sup in supports]
+        c = np.concatenate([np.empty(0, dtype=np.int64), *supports])
         if c.size and (c.min() < 0 or c.max() >= cols):
             raise ValueError(f"column index out of range [0, {cols})")
         # Row-major positions increase strictly iff every row's support does.
@@ -235,7 +239,10 @@ class PermutationArray:
         self.n_a = int(n_a)
         self.perms = []
         for j, p in enumerate(perms):
-            arr = np.asarray(p, dtype=np.int64)
+            arr = np.asarray(p)
+            if arr.size and arr.dtype.kind not in "iu":
+                raise ValueError(f"block {j} entries must be integers")
+            arr = np.asarray(arr, dtype=np.int64)
             if arr.shape != (n_a,) or np.any(np.bincount(arr, minlength=n_a) != 1):
                 raise ValueError(f"block {j} is not a permutation of 0..{n_a - 1}")
             arr.flags.writeable = False

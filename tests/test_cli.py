@@ -73,6 +73,19 @@ def test_peg_then_interleaved_construct(runner, tmp_path):
     assert "global_girth=8" in result.output
 
 
+@pytest.mark.parametrize("variant", ["circulant", "generic"])
+def test_peg_names_a_negative_seed(runner, tmp_path, variant):
+    perms = tmp_path / "perms.json"
+    result = runner.invoke(
+        main,
+        ["peg", "--variant", variant, "--seed", "-1",
+         "--comp-a", "mscmpc:5:3,4", "--comp-b", "mscmpc:5:3,4", "--out", str(perms)],
+    )
+    assert result.exit_code == 1
+    assert result.output.strip() == "error: seed must be at least 0, got -1"
+    assert not perms.exists()
+
+
 def test_spectrum_small_square(runner, tmp_path):
     out = tmp_path / "spec.json"
     result = runner.invoke(

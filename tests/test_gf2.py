@@ -73,6 +73,17 @@ class TestSparseBinMatrix:
         with pytest.raises(ValueError):
             SparseBinMatrix(1, 4, [[1, 1]])
 
+    @pytest.mark.parametrize("row", [[2**32 + 1], np.array([2**32 + 1]),
+                                     np.array([2**63 + 1], dtype=np.uint64)])
+    def test_rejects_index_that_wraps_into_range(self, row):
+        with pytest.raises(ValueError, match="out of range"):
+            SparseBinMatrix(1, 4, [row])
+
+    @pytest.mark.parametrize("row", [[1.5, 2.9], [True], ["1"]])
+    def test_rejects_non_integer_entries(self, row):
+        with pytest.raises(ValueError, match="integers"):
+            SparseBinMatrix(1, 4, [row])
+
     def test_all_zero_row_is_representable(self):
         m = SparseBinMatrix(2, 4, [[], [0, 3]])
         assert m.nnz == 2
@@ -283,6 +294,11 @@ class TestPermutationArray:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             PermutationArray(3, [[0, 1]])
+
+    @pytest.mark.parametrize("perm", [[0.5, 1, 2], [0.0, 1.0, 2.0], ["0", "1", "2"]])
+    def test_rejects_non_integer_entries(self, perm):
+        with pytest.raises(ValueError, match="integers"):
+            PermutationArray(3, [perm])
 
     def test_to_matrix_places_ones_by_row(self):
         pa = PermutationArray(3, [[1, 2, 0], [0, 1, 2]])

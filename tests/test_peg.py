@@ -2,11 +2,14 @@ import hashlib
 import json
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from productldpc import (
     SparseBinMatrix,
@@ -19,6 +22,10 @@ from productldpc import (
     local_girth,
     parse_component_spec,
 )
+from productldpc.peg import _PASS_GROUPS, _Graph, _labelled_bfs
+from productldpc.product import save_permutation_array
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "data" / "perms_mscmpc81_seed1.json"
 
 
 class TestLocalGirth:
@@ -108,10 +115,131 @@ def test_local_girth_matches_edge_removal_oracle(dense):
     assert report.per_variable_local_girth.tolist() == _girth_oracle(dense)
 
 
+@pytest.mark.parametrize("code", ["direct", "interleaved"])
+def test_local_girth_over_several_passes_matches_oracle(code, comp5, pc144):
+    # 144 roots: four full passes of 32 and a partial fifth
+    if code == "direct":
+        h = pc144.H
+    else:
+        h = build_hp_interleaved(comp5, comp5, design_generic(comp5, comp5, seed=0)).H
+    assert h.cols > 4 * _PASS_GROUPS and h.cols % _PASS_GROUPS
+    report = local_girth(h)
+    assert report.per_variable_local_girth.tolist() == _girth_oracle(h.to_dense())
+
+
+@st.composite
+def _bfs_case(draw):
+    """A bipartite graph with variables 0..n-1 and checks n..n+m-1, held
+    with spare capacity at some nodes as in a part-built design graph,
+    and up to four groups, each with distinct check sources and a
+    variable wall or none."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 8))
+    edges = sorted(draw(st.sets(st.tuples(st.integers(n, n + m - 1), st.integers(0, n - 1)),
+                                max_size=n * m)))
+    spare = draw(st.lists(st.integers(0, 2), min_size=n + m, max_size=n + m))
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        sources = draw(st.lists(st.integers(n, n + m - 1), min_size=1, max_size=m,
+                                unique=True))
+        wall = draw(st.integers(-1, n - 1))
+        groups.append((sources, wall))
+    return n + m, edges, spare, groups
+
+
+def _bfs_oracle(n_nodes, edges, sources, wall):
+    """scipy distances from the nearest source and least source-to-source
+    distance, in the graph without the wall node."""
+    kept = [(u, v) for u, v in edges if wall not in (u, v)]
+    u, v = np.array(kept, dtype=int).reshape(-1, 2).T
+    adj = csr_matrix((np.ones(len(kept)), (u, v)), shape=(n_nodes, n_nodes))
+    d = shortest_path(adj, directed=False, unweighted=True, indices=sources)
+    pair = d[:, sources][~np.eye(len(sources), dtype=bool)]
+    return d.min(axis=0), (pair.min() if pair.size else math.inf)
+
+
+# Checks 8, 9, 10, 11 joined in a path by variables 0, 1, 2; a branch
+# from variable 1 through check 12 to variable 3; and a tail from 3
+# through checks 13-15 and variables 4-6.  Sources 8 and 10 meet at 4
+# with variable 3 at 3, and sources 8 and 11 at 6 with variable 3 at 5,
+# so the two groups stop at different levels, each with a target read
+# off its last frontier.
+_BRANCH = (16, [(8, 0), (9, 0), (9, 1), (10, 1), (10, 2), (11, 2), (12, 1), (12, 3),
+                (13, 3), (13, 4), (14, 4), (14, 5), (15, 5), (15, 6)],
+           [0] * 16, [([8, 10], -1), ([8, 11], -1)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_bfs_case(), st.booleans())
+@example(_BRANCH, True)
+@example(_BRANCH, False)
+def test_labelled_bfs_matches_scipy_shortest_paths(case, design):
+    n_nodes, edges, spare, groups = case
+    degree = np.bincount(np.array(edges, dtype=int).ravel(), minlength=n_nodes)
+    graph = _Graph(degree + np.array(spare))
+    for u, v in edges:
+        graph.add_edge(u, v)
+    sources = [g[0] for g in groups]
+    walls = [g[1] for g in groups]
+    targets = np.arange(n_nodes) if design else None
+    for _ in range(2):  # the second call finds the state the first left
+        found, pair_meet = _labelled_bfs(graph, sources, walls, targets)
+        for g, (src, wall) in enumerate(groups):
+            dist, meet = _bfs_oracle(n_nodes, edges, src, wall)
+            assert pair_meet[g] == meet
+            if design:
+                # exact where the design reads, never wrong elsewhere
+                exact = np.where(np.isinf(dist), -1, dist)
+                assert np.all((found[g] == exact) | (found[g] == -1))
+                assert np.array_equal(found[g][dist < meet], exact[dist < meet])
+                if wall >= 0:
+                    assert found[g][wall] == -1
+            else:
+                assert found is None
+
+
+class TestFullSize:
+    """Seed-1 designs of the (10000,6561) interleaver and the girth
+    histograms of the direct and interleaved (10000,6561) codes."""
+
+    @pytest.fixture(scope="class")
+    def comp81(self):
+        return build_mscmpc(81, [9, 10])
+
+    @pytest.fixture(scope="class")
+    def generic(self, comp81):
+        return design_generic(comp81, comp81, seed=1)
+
+    def test_generic_design_reproduces_the_fixture(self, generic, tmp_path):
+        path = tmp_path / "perms.json"
+        save_permutation_array(generic, path)
+        assert path.read_bytes() == FIXTURE.read_bytes()
+
+    def test_circulant_design_is_pinned(self, comp81):
+        doc = json.dumps([[int(x) for x in p] for p in design_circulant(comp81, comp81, 1).perms])
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "ee274e7acad1b29299031a1f1ba0013c50ee1571de7aef1211fd640893329869"
+        )
+
+    def test_girth_histograms(self, comp81, generic):
+        for code in (build_hp(comp81, comp81), build_hp_interleaved(comp81, comp81, generic)):
+            assert local_girth(code.H).histogram == {8.0: 9000, math.inf: 1000}
+
+
 class TestDesigns:
     def test_determinism(self, comp5):
         for design in (design_circulant, design_generic):
             assert design(comp5, comp5, seed=42) == design(comp5, comp5, seed=42)
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer"),
+        (True, "seed must be an integer"),
+        (-1, "seed must be at least 0"),
+    ])
+    def test_rejects_bad_seed(self, comp5, seed, message):
+        for design in (design_circulant, design_generic):
+            with pytest.raises(ValueError, match=message):
+                design(comp5, comp5, seed)
 
     def test_seeds_differ(self, comp5):
         a = design_generic(comp5, comp5, seed=0)
