@@ -43,6 +43,11 @@ class WeightSpectrum:
             raise ValueError(
                 f"a spectrum needs n >= 1 and 0 <= k <= n, got n={self.n}, k={self.k}"
             )
+        for w, c in self.counts.items():
+            if not 0 <= w <= self.n:
+                raise ValueError(f"spectrum weight {w} is outside 0..{self.n}")
+            if c < 0:
+                raise ValueError(f"spectrum count A_{w}={c} is negative")
 
     def multiplicity(self, w: int) -> int:
         return self.counts.get(w, 0)
@@ -61,12 +66,17 @@ class WeightSpectrum:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WeightSpectrum":
-        return cls(
-            n=int(doc["n"]),
-            k=int(doc["k"]),
-            counts={int(w): int(c) for w, c in doc["counts"].items()},
-            complete=bool(doc["complete"]),
-        )
+        if not isinstance(doc, dict) or not isinstance(doc.get("counts"), dict):
+            raise ValueError("a spectrum must be a JSON object whose counts is an object")
+        try:
+            return cls(
+                n=int(doc["n"]),
+                k=int(doc["k"]),
+                counts={int(w): int(c) for w, c in doc["counts"].items()},
+                complete=bool(doc["complete"]),
+            )
+        except TypeError as exc:
+            raise ValueError(f"a spectrum entry is not a number: {exc}") from exc
 
 
 def save_spectrum(spec: WeightSpectrum, path, meta: dict | None = None) -> None:
@@ -235,8 +245,8 @@ def union_bound(spectrum: WeightSpectrum, rate: float, ebn0_db_list):
     terms = [(w, c) for w, c in sorted(spectrum.counts.items()) if w > 0 and c > 0]
     if not terms:
         raise ValueError("spectrum has no nonzero-weight terms")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not (math.isfinite(rate) and 0 < rate <= 1):
+        raise ValueError(f"rate must be finite and in (0, 1], got {rate}")
     ebn0_db = np.asarray(ebn0_db_list, dtype=np.float64)
     ebn0 = 10.0 ** (ebn0_db / 10.0)
     fer = np.zeros_like(ebn0)

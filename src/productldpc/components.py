@@ -2,8 +2,10 @@
 
 Two families are provided: single parity-check codes and serial
 concatenations of multiple-parity-check stages with pairwise distinct
-moduli.  Both encode by back-substitution, all redundancy at the end of
-the codeword, so row i of H has its rightmost 1 at column k+i.
+moduli.  Both put all redundancy at the end of the codeword, so row i
+of H has its rightmost 1 at column k+i.  Back-substitution through H,
+run once on the k unit words, gives the (k, r) parity generator; every
+encode is then one GF(2) product with it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .gf2 import SparseBinMatrix
 class ComponentCode:
     """An (n, k) systematic block code defined by a triangular H."""
 
-    __slots__ = ("n", "k", "r", "H", "label", "_parity_deps")
+    __slots__ = ("n", "k", "r", "H", "label", "_parity_gen")
 
     def __init__(self, n: int, k: int, H: SparseBinMatrix, label: str) -> None:
         r = n - k
@@ -34,19 +36,20 @@ class ComponentCode:
         self.r = r
         self.H = H
         self.label = label
-        # Row i minus its own parity column: XOR of these gives parity bit i.
-        self._parity_deps = [sup[:-1] for sup in H.row_support]
+        # Parity bit i is the XOR of row i's other columns, all below k + i.
+        words = np.eye(k, n, dtype=np.uint8)
+        for i, sup in enumerate(H.row_support):
+            words[:, k + i] = np.bitwise_xor.reduce(words[:, sup[:-1]], axis=1)
+        self._parity_gen = words[:, k:].astype(np.float64)
 
     def encode_batch(self, info: np.ndarray) -> np.ndarray:
         """Encode each row of a (count, k) bit array to (count, n)."""
         info = np.asarray(info, dtype=np.uint8)
         if info.ndim != 2 or info.shape[1] != self.k:
             raise ValueError(f"expected (*, {self.k}) info rows, got {info.shape}")
-        out = np.zeros((info.shape[0], self.n), dtype=np.uint8)
-        out[:, : self.k] = info
-        for i, deps in enumerate(self._parity_deps):
-            out[:, self.k + i] = out[:, deps].sum(axis=1, dtype=np.int64) & 1
-        return out
+        # Exact in float64: no sum exceeds k.
+        parity = (info @ self._parity_gen).astype(np.int64) & 1
+        return np.concatenate([info, parity.astype(np.uint8)], axis=1)
 
     def __repr__(self) -> str:
         return f"ComponentCode({self.label}: n={self.n}, k={self.k})"

@@ -35,6 +35,7 @@ import numpy as np
 from .components import ComponentCode
 from .decoder import check_int
 from .gf2 import PermutationArray, SparseBinMatrix
+from .product import build_hp
 
 
 @dataclass
@@ -235,32 +236,19 @@ def local_girth(H: SparseBinMatrix) -> GirthReport:
 def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> PermutationArray:
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    n_a, n_b, k_b, r_a, r_b = a.n, b.n, b.k, a.r, b.r
-    n_vars = n_a * n_b
-    chk1_base = n_vars
-    chk2_base = n_vars + k_b * r_a
-
-    colsup_a = a.H.col_support()
+    n_a, n_b, k_b = a.n, b.n, b.k
+    chk2_base = n_a * n_b + k_b * a.r
     colsup_b = b.H.col_support()
-    rowsup_a = a.H.row_support
-    roww_b = b.H.row_weights()
 
-    capacity = np.zeros(n_vars + k_b * r_a + r_b * n_a, dtype=np.int64)
-    for j in range(n_b):
-        var_base = j * n_a
-        extra = len(colsup_b[j])
-        for t in range(n_a):
-            capacity[var_base + t] = extra + (len(colsup_a[t]) if j < k_b else 0)
-    capacity[chk1_base:chk2_base] = np.tile(a.H.row_weights(), k_b)
-    for s in range(r_b):
-        capacity[chk2_base + s * n_a : chk2_base + (s + 1) * n_a] = roww_b[s]
-
-    graph = _Graph(capacity)
-    for m in range(k_b):
-        for i, sup in enumerate(rowsup_a):
-            chk = chk1_base + m * r_a + i
-            for t in sup:
-                graph.add_edge(chk, m * n_a + int(t))
+    # The direct code's Tanner graph has every final degree, since no
+    # permutation changes one.  Each variable lists its row-code checks
+    # before its column-code checks, so keeping only the row-code edges
+    # present leaves the start graph: the column-code checks are refilled
+    # as the permutations are chosen.
+    graph = _Graph.tanner(build_hp(a, b).H)
+    node = np.repeat(np.arange(graph.n_nodes), graph.fill)
+    row_code = (node < chk2_base) & (graph.indices < chk2_base)
+    graph.fill = np.bincount(node[row_code], minlength=graph.n_nodes)
 
     def quality(j: int, sources) -> np.ndarray:
         """Scores of block j's candidates against the current graph, one

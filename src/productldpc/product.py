@@ -6,6 +6,11 @@ already yields full rank) on top of the column code's H expanded so
 that its q-th copy touches, in encoding-matrix row m, the bit selected
 by the m-th permutation at index q.  Without an interleaver the
 expansion reduces to a plain Kronecker product with the identity.
+
+Both codes share one layout, a track map: bit j of column-code word q
+is codeword bit j*n_a + perm_j[q], with identity permutations for the
+direct code.  The encoder reads and writes the column code's words
+through this map alone.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .gf2 import PermutationArray, SparseBinMatrix, kron, vec_kron, vstack
 class ProductCode:
     """Two component codes on the rows/columns of an encoding matrix."""
 
-    __slots__ = ("comp_a", "comp_b", "interleaver", "H", "n", "k", "_info_pos")
+    __slots__ = ("comp_a", "comp_b", "interleaver", "H", "n", "k", "_tracks")
 
     def __init__(
         self,
@@ -37,7 +42,9 @@ class ProductCode:
         self.H = H
         self.n = comp_a.n * comp_b.n
         self.k = comp_a.k * comp_b.k
-        self._info_pos = None
+        perms = np.arange(comp_a.n) if interleaver is None else np.stack(interleaver.perms)
+        # Entry (j, q): codeword index of bit j of column-code word q.
+        self._tracks = np.arange(0, self.n, comp_a.n)[:, None] + perms
 
     @property
     def label(self) -> str:
@@ -46,19 +53,15 @@ class ProductCode:
 
     def info_positions(self) -> np.ndarray:
         """Codeword indices of the k information bits, row-major."""
-        if self._info_pos is None:
-            n_a, k_a, k_b = self.comp_a.n, self.comp_a.k, self.comp_b.k
-            self._info_pos = (
-                np.arange(k_b)[:, None] * n_a + np.arange(k_a)[None, :]
-            ).ravel()
-        return self._info_pos
+        n_a, k_a, k_b = self.comp_a.n, self.comp_a.k, self.comp_b.k
+        return (np.arange(k_b)[:, None] * n_a + np.arange(k_a)).ravel()
 
     def encode(self, info) -> np.ndarray:
         """Codeword for a k_b x k_a information block (or flat length-k).
 
-        Rows are encoded with the row code; the column code then encodes
-        one codeword per permutation-selected column track, placing its
-        parity bits back through the parity rows' permutations.  The
+        The information rows are encoded with the row code and written
+        first; the column code then encodes the information bits of each
+        track and its parity bits go back through the track map.  The
         codeword is the n_b x n_a encoding matrix read row-wise.
         """
         a, b = self.comp_a, self.comp_b
@@ -69,21 +72,11 @@ class ProductCode:
             raise ValueError(
                 f"info must be {b.k}x{a.k} (or flat length {self.k}), got {info.shape}"
             )
-        rows = a.encode_batch(info)  # (k_b, n_a)
-        out = np.zeros((b.n, a.n), dtype=np.uint8)
-        out[: b.k] = rows
-        if self.interleaver is None:
-            cols = rows.T  # column q reads position q in every row
-            parity = b.encode_batch(cols)[:, b.k :]  # (n_a, r_b)
-            out[b.k :] = parity.T
-        else:
-            perms = self.interleaver.perms
-            gather = np.stack(perms[: b.k])  # (k_b, n_a)
-            cols = np.take_along_axis(rows, gather, axis=1).T  # (n_a, k_b)
-            parity = b.encode_batch(cols)[:, b.k :]  # (n_a, r_b)
-            for j in range(b.n - b.k):
-                out[b.k + j, perms[b.k + j]] = parity[:, j]
-        return out.reshape(-1)
+        out = np.zeros(self.n, dtype=np.uint8)
+        out[: b.k * a.n] = a.encode_batch(info).ravel()
+        parity = b.encode_batch(out[self._tracks[: b.k]].T)[:, b.k :]  # (n_a, r_b)
+        out[self._tracks[b.k :]] = parity.T
+        return out
 
 
 def _hp1(a: ComponentCode, b: ComponentCode) -> SparseBinMatrix:

@@ -141,6 +141,52 @@ class TestUnionBound:
         crossing = grid[np.argmax(fer <= 1e-4)]
         assert 2.0 <= crossing <= 4.0
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.5])
+    def test_rejects_rate_outside_unit_interval(self, rate):
+        spec = WeightSpectrum(n=16, k=9, counts={4: 36})
+        with pytest.raises(ValueError, match="rate must be finite"):
+            union_bound(spec, rate, [1.0])
+
+    def test_rate_one_accepted(self):
+        spec = WeightSpectrum(n=16, k=9, counts={4: 36})
+        fer, ber = union_bound(spec, 1.0, [1.0])
+        assert np.isfinite(fer).all() and np.isfinite(ber).all()
+
+
+class TestSpectrumTerms:
+    @pytest.mark.parametrize("w", [-1, 145, 200])
+    def test_rejects_weight_outside_length(self, w):
+        with pytest.raises(ValueError, match=f"weight {w} is outside 0..144"):
+            WeightSpectrum(n=144, k=25, counts={w: 1})
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError, match="negative"):
+            WeightSpectrum(n=144, k=25, counts={16: -64})
+
+    def test_extreme_weights_accepted(self):
+        spec = WeightSpectrum(n=144, k=25, counts={0: 1, 144: 1, 16: 0})
+        assert spec.multiplicity(144) == 1
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        "spectrum",
+        {"n": 144, "k": 25, "complete": False, "counts": [[16, 64]]},
+        {"n": 144, "k": 25, "complete": False},
+    ], ids=["list", "string", "counts-list", "no-counts"])
+    def test_from_json_rejects_wrong_shape(self, doc):
+        with pytest.raises(ValueError, match="JSON object"):
+            WeightSpectrum.from_json_dict(doc)
+
+    def test_from_json_rejects_null_entries(self):
+        doc = {"n": None, "k": 25, "complete": False, "counts": {"16": 64}}
+        with pytest.raises(ValueError, match="not a number"):
+            WeightSpectrum.from_json_dict(doc)
+
+    def test_from_json_applies_term_checks(self):
+        doc = {"n": 144, "k": 25, "complete": False, "counts": {"200": 1}}
+        with pytest.raises(ValueError, match="outside"):
+            WeightSpectrum.from_json_dict(doc)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path, comp5):

@@ -162,6 +162,40 @@ def test_bound_rejects_bad_dimensions(runner, tmp_path, args):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    "[16, 64]",
+    '{"n": 144, "k": 25, "complete": false, "counts": [[16, 64]]}',
+], ids=["not-an-object", "counts-list"])
+def test_bound_rejects_misshapen_spectrum_file(runner, tmp_path, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(doc)
+    result = runner.invoke(
+        main, ["bound", "--spectrum", str(spec), "--ebn0", "1,2", "--out", str(tmp_path / "x.csv")]
+    )
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out.startswith("error:") and "JSON object" in out and "\n" not in out
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--weight", "200", "--multiplicity", "4"], "weight 200 is outside 0..144"),
+    (["--weight", "16", "--multiplicity", "-64"], "A_16=-64 is negative"),
+    (["--weight", "16", "--multiplicity", "64", "--rate", "nan"], "rate must be finite"),
+    (["--weight", "16", "--multiplicity", "64", "--rate", "1.5"], "rate must be finite"),
+], ids=["weight-above-n", "negative-count", "rate-nan", "rate-above-one"])
+def test_bound_rejects_impossible_terms_and_rates(runner, tmp_path, args, message):
+    result = runner.invoke(
+        main,
+        ["bound", *args, "--n", "144", "--k", "25", "--ebn0", "1,2",
+         "--out", str(tmp_path / "x.csv")],
+    )
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out.startswith("error:") and message in out and "\n" not in out
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("ebn0", ["nan,1", "1,inf", "-inf", "0:inf:1", "nan:2:1", "0:2:nan"])
 def test_bound_rejects_non_finite_ebn0(runner, tmp_path, ebn0):
     result = runner.invoke(

@@ -12,6 +12,16 @@ from productldpc import (
 )
 
 
+def reference_encode(code, info):
+    """Row-by-row back-substitution through the triangular H: parity bit
+    i is the XOR of row i's other columns, all of which are known by then."""
+    out = np.zeros((info.shape[0], code.n), dtype=np.uint8)
+    out[:, : code.k] = info
+    for i, sup in enumerate(code.H.row_support):
+        out[:, code.k + i] = out[:, sup[:-1]].sum(axis=1, dtype=np.int64) & 1
+    return out
+
+
 class TestSpc:
     def test_spc4_3(self):
         code = build_spc(3)
@@ -97,6 +107,26 @@ class TestEncoding:
         batch = comp5.encode_batch(infos)
         for row, info in zip(batch, infos):
             assert np.array_equal(row, encode_systematic(comp5, info))
+
+    @pytest.mark.parametrize("spec", [
+        "spc:1", "spc:3", "spc:300", "mscmpc:5:3,4", "mscmpc:81:9,10", "mscmpc:169:13,14",
+    ])
+    def test_batch_matches_back_substitution(self, spec, rng):
+        # The all-ones and unit rows reach the largest and the single-term
+        # sums; spc:300 sums up to 300 ones, more than an 8-bit type holds.
+        code = parse_component_spec(spec)
+        infos = np.concatenate([
+            np.ones((1, code.k), dtype=np.uint8),
+            np.eye(code.k, dtype=np.uint8),
+            rng.integers(0, 2, (40, code.k), dtype=np.uint8),
+        ])
+        batch = code.encode_batch(infos)
+        assert batch.dtype == np.uint8
+        assert np.array_equal(batch, reference_encode(code, infos))
+        assert not syndrome(code.H, batch[0]).any()
+
+    def test_empty_batch(self, comp5):
+        assert comp5.encode_batch(np.zeros((0, 5), dtype=np.uint8)).shape == (0, 12)
 
     def test_length_mismatch_rejected(self, comp5):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from productldpc import (
     build_hp_interleaved,
     build_mscmpc,
     build_spc,
+    parse_component_spec,
     rank_gf2,
     syndrome,
 )
@@ -156,6 +157,26 @@ class TestEncoder:
         ipc = build_hp_interleaved(comp5, comp5, pa)
         info = rng.integers(0, 2, (5, 5), dtype=np.uint8)
         assert np.array_equal(ipc.encode(info)[ipc.info_positions()], info.ravel())
+
+    @pytest.mark.parametrize("spec_a,spec_b", [
+        ("spc:3", "mscmpc:5:3,4"),
+        ("mscmpc:5:3,4", "spc:3"),
+        ("spc:1", "mscmpc:5:3,4"),
+        ("mscmpc:10:11,12,13", "spc:2"),
+    ])
+    def test_non_square_pairs(self, spec_a, spec_b, rng):
+        a, b = parse_component_spec(spec_a), parse_component_spec(spec_b)
+        direct = build_hp(a, b)
+        twin = build_hp_interleaved(a, b, PermutationArray.identity(a.n, b.n))
+        interleaved = build_hp_interleaved(a, b, PermutationArray.random(a.n, b.n, rng))
+        for _ in range(10):
+            info = rng.integers(0, 2, (b.k, a.k), dtype=np.uint8)
+            words = [pc.encode(info) for pc in (direct, twin, interleaved)]
+            assert np.array_equal(words[0], words[1])
+            for pc, cw in zip((direct, twin, interleaved), words):
+                assert cw.shape == (a.n * b.n,) and cw.dtype == np.uint8
+                assert not syndrome(pc.H, cw).any()
+                assert np.array_equal(cw[pc.info_positions()], info.ravel())
 
     def test_shape_mismatch_rejected(self, pc144):
         with pytest.raises(ValueError):
