@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import re
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -21,6 +23,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .components import ComponentCode, encode_systematic
+from .decoder import check_int
 from .product import ProductCode
 
 EXHAUSTIVE_K_LIMIT = 28
@@ -68,15 +71,23 @@ class WeightSpectrum:
     def from_json_dict(cls, doc: dict) -> "WeightSpectrum":
         if not isinstance(doc, dict) or not isinstance(doc.get("counts"), dict):
             raise ValueError("a spectrum must be a JSON object whose counts is an object")
-        try:
-            return cls(
-                n=int(doc["n"]),
-                k=int(doc["k"]),
-                counts={int(w): int(c) for w, c in doc["counts"].items()},
-                complete=bool(doc["complete"]),
-            )
-        except TypeError as exc:
-            raise ValueError(f"a spectrum entry is not a number: {exc}") from exc
+
+        def integer(name: str, value) -> int:
+            if not isinstance(value, numbers.Number):
+                raise ValueError(f"a spectrum entry is not a number: {name}={value!r}")
+            check_int(f"spectrum {name}", value, 0)
+            return value
+
+        if not isinstance(doc["complete"], bool):
+            raise ValueError(f"spectrum complete must be true or false, got {doc['complete']!r}")
+        counts = {}
+        for w, c in doc["counts"].items():
+            # int() alone would also take " 16", "1_6" and "+16".
+            if not re.fullmatch(r"-?[0-9]+", w):
+                raise ValueError(f"spectrum weight {w!r} is not an integer")
+            counts[int(w)] = integer(f"A_{w}", c)
+        return cls(n=integer("n", doc["n"]), k=integer("k", doc["k"]), counts=counts,
+                   complete=doc["complete"])
 
 
 def save_spectrum(spec: WeightSpectrum, path, meta: dict | None = None) -> None:

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+import time
 
 import click
 import numpy as np
@@ -120,11 +121,14 @@ def peg(variant, seed, comp_a, comp_b, out):
     a = parse_component_spec(comp_a)
     b = parse_component_spec(comp_b)
     design = design_circulant if variant == "circulant" else design_generic
+    t0 = time.perf_counter()
     perms = design(a, b, seed)
+    design_s = time.perf_counter() - t0
     meta = _meta(variant=variant, seed=seed, comp_a=comp_a, comp_b=comp_b)
     meta["seed"] = seed
     save_permutation_array(perms, out, meta=meta)
     click.echo(f"seed={seed} variant={variant}: wrote {len(perms)} permutations to {out}")
+    click.echo(f"design_s={design_s:.3f}")
 
 
 @main.command()

@@ -10,19 +10,29 @@ random from a seeded generator, so equal seeds reproduce equal arrays.
 
 Both the design and the girth measurement run one labelled BFS,
 _labelled_bfs, which needs no sort, and each stops at the depth it
-reads.  The girth of a variable is 2 plus the least distance between two
-of its checks in the graph without it, so that search stops as soon as
-that distance is exact; local_girth runs many roots per call.  A design
+reads.  The graph keeps each node's neighbours in one padded row whose
+free slots hold the node itself, so a level expands by one 2-D gather.
+The girth of a variable is 2 plus the least distance between two of its
+checks in the graph without it, so that search stops as soon as that
+distance is exact; local_girth runs many roots per call.  A design
 candidate t scores min(pair_meet + 2, dist(t) + 1), where pair_meet is
 the least distance between two of the new edges' checks.  The Tanner
 graph is bipartite, the sources are checks and the candidates are
 variables, so pair_meet is even and dist(t) is odd: a candidate at
 distance pair_meet or more scores pair_meet + 2 whether it was reached
 or not.  The design search therefore stops once every candidate nearer
-than pair_meet has its distance, which it reads off the last frontier
-instead of expanding it (the depth-limited search of Hu, Eleftheriou and
-Arnold, IEEE Trans. IT 2005).  The circulant design scores all rows of a
-block column in grouped calls, since they share one graph.
+than pair_meet has a distance it can read without expanding further
+(the depth-limited search of Hu, Eleftheriou and Arnold, IEEE Trans. IT
+2005).  The candidates of block column j are the variables of row j.  A
+free one has no edges but its row-code checks, which are present from
+the start and join only row j's variables, so an unreached free
+candidate that shares a row-code check with a reached one lies two
+levels past the last odd frontier.  The search reads those off a static
+table of the row code's shared checks, H_a^T H_a > 0, and stops at
+frontier pair_meet - 3 instead of expanding to pair_meet - 2.  Only
+free candidates are read: the generic design masks the used ones, and
+the circulant design scores a whole block column, in grouped calls on
+one graph, before it commits any of it.
 """
 
 from __future__ import annotations
@@ -63,16 +73,17 @@ _PASS_GROUPS = 32
 
 
 class _Graph:
-    """Adjacency with room for capacity[v] edges at node v, of which the
-    first fill[v] are present, plus the state _labelled_bfs reuses: a
-    label per (group, node), which is -1 between searches, and working
-    distances and stamps."""
+    """Adjacency held as one row per node, as wide as the largest
+    capacity[v]: the first fill[v] slots of row v hold the edges present
+    and every free slot holds v itself.  Plus the state _labelled_bfs
+    reuses: a label per (group, node), which is -1 between searches, and
+    working distances and stamps."""
 
     def __init__(self, capacity) -> None:
-        self.n_nodes = len(capacity)
-        self.indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(capacity, out=self.indptr[1:])
-        self.indices = np.zeros(int(self.indptr[-1]), dtype=np.int64)
+        capacity = np.asarray(capacity, dtype=np.int64)
+        self.n_nodes = capacity.size
+        width = int(capacity.max()) if capacity.size else 0
+        self.adj = np.repeat(np.arange(self.n_nodes, dtype=np.int64)[:, None], width, axis=1)
         self.fill = np.zeros(self.n_nodes, dtype=np.int64)
         self.label = self.dist = self.stamp = np.empty(0, dtype=np.int32)
 
@@ -81,33 +92,32 @@ class _Graph:
         """H's Tanner graph: variables 0..n-1, then checks n..n+m-1."""
         n, m = H.cols, H.rows
         checks = np.repeat(np.arange(m, dtype=np.int64), np.diff(H.indptr)) + n
-        ends = np.concatenate([H.indices.astype(np.int64), checks])
-        graph = cls(np.bincount(ends, minlength=n + m))
-        graph.indices[:] = np.concatenate([checks, H.indices])[np.argsort(ends, kind="stable")]
-        graph.fill = np.diff(graph.indptr)
+        ends = np.concatenate([H.indices, checks])
+        order = np.argsort(ends, kind="stable")
+        ends, others = ends[order], np.concatenate([checks, H.indices])[order]
+        del checks, order  # before the padded rows, which are the largest array
+        degree = np.bincount(ends, minlength=n + m)
+        graph = cls(degree)
+        slot = np.arange(ends.size)
+        slot -= (np.cumsum(degree) - degree)[ends]
+        graph.adj[ends, slot] = others
+        graph.fill = degree
         return graph
 
+    def truncate(self, fill: np.ndarray) -> None:
+        """Keep only the first fill[v] edges of each node v."""
+        free = np.arange(self.adj.shape[1]) >= fill[:, None]
+        np.copyto(self.adj, np.arange(self.n_nodes)[:, None], where=free)
+        self.fill = fill
+
     def add_edge(self, u: int, v: int) -> None:
-        self.indices[self.indptr[u] + self.fill[u]] = v
-        self.indices[self.indptr[v] + self.fill[v]] = u
+        self.adj[u, self.fill[u]] = v
+        self.adj[v, self.fill[v]] = u
         self.fill[u] += 1
         self.fill[v] += 1
 
 
-def _neighbours(graph: _Graph, flat: np.ndarray, groups: int):
-    """Flat indices of the neighbours of the flat nodes, node after node,
-    and the number of neighbours of each."""
-    node = flat % graph.n_nodes if groups > 1 else flat
-    deg = graph.fill[node]
-    starts = np.cumsum(deg) - deg
-    total = int(starts[-1] + deg[-1]) if deg.size else 0
-    nbrs = graph.indices[np.arange(total) + np.repeat(graph.indptr[node] - starts, deg)]
-    if groups > 1:
-        nbrs += np.repeat(flat - node, deg)
-    return nbrs, deg
-
-
-def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None):
+def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
     """BFS distances from groups of sources, and each group's least
     distance between two of its sources.
 
@@ -118,25 +128,40 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None):
     side, so every edge joins two consecutive levels.
 
     The search is level-synchronized and every source carries its own
-    label.  No level is sorted.  The frontier writes its labels onto its
-    fresh neighbours by scatter and reads them back, and the next frontier
-    is deduplicated the same way with a position stamp.  A fresh node that
-    reads back another label than the one it was reached with was reached
-    by two labels from level L, which closes a path of length 2(L + 1)
-    between two sources.  Which label wins a node does not matter: a
-    node's label is always a source at its exact distance, so the shortest
-    path between two sources has an edge where the label changes, between
-    levels l and l + 1 with 2(l + 1) the path's length, and that edge is
-    read back as a clash when level l is expanded.  Once the frontier is
-    at level L, every meeting up to 2L long has been seen.
+    label.  No level is sorted.  A level expands by one gather of the
+    frontier's padded adjacency rows; a node's free slots hold the node
+    itself, which is labelled, so the fresh test drops them.  The
+    frontier writes its labels onto its fresh neighbours by scatter and
+    reads them back, and the next frontier is deduplicated the same way
+    with a position stamp.  A fresh node that reads back another label
+    than the one it was reached with was reached by two labels from
+    level L, which closes a path of length 2(L + 1) between two sources.
+    Which label wins a node does not matter: a node's label is always a
+    source at its exact distance, so the shortest path between two
+    sources has an edge where the label changes, between levels l and
+    l + 1 with 2(l + 1) the path's length, and that edge is read back as
+    a clash when level l is expanded.  So the first clash a group sees
+    gives its pair_meet, which is final, and its stop level is set then;
+    each level compares one integer, the least stop level of the groups
+    still searching, and drops the stopped groups' nodes when it is
+    reached.  Once every group has its pair_meet, labels only mark nodes
+    as reached.
 
-    Each group stops on its own.  Without `targets` (girth) it stops at
-    the first frontier level L with ``pair_meet <= 2L``, where pair_meet
-    is exact.  With `targets` (design) it stops at the first L with
-    ``pair_meet <= min(L + 2, 2L)`` and, instead of expanding level L,
-    gives distance L + 1 to each unreached target next to a reached node,
-    which can only be a node of level L; so every target nearer than
-    pair_meet to a source has its distance.
+    A group found to meet at pair_meet when expanding level l stops at
+    frontier level l + 1 without `targets` (girth, pair_meet = 2(l + 1)).
+    With `targets` (design) it stops at max(l + 1, pair_meet - 2) and,
+    instead of expanding that level L, gives distance L + 1 to each
+    unreached target next to a reached node, which can only be a node of
+    level L; so every target nearer than pair_meet to a source has its
+    distance.  With `share` as well, a (T, T) boolean table of which
+    targets share a neighbour, it stops one level sooner, at
+    max(l + 1, pair_meet - 3), and gives distance L + 1 + (L % 2) to each
+    unreached target that shares a neighbour with a reached target.  That
+    needs the targets on the side away from the sources, at odd
+    distances, and every neighbour of an unreached target present and
+    adjacent to targets only: the last two steps of a shortest path to it
+    then run from a target through a shared neighbour, and that target is
+    at the last odd level, L or L - 1.
 
     Returns the targets' distances, shape (G, T) with -1 where not
     found (None without targets), and pair_meet, shape (G,), inf where no
@@ -147,60 +172,96 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None):
         graph.label = np.full(groups * n_nodes, -1, dtype=np.int32)
         graph.dist = np.empty(groups * n_nodes, dtype=np.int32)
         graph.stamp = np.empty(groups * n_nodes, dtype=np.int32)
-    label, dist, stamp = graph.label, graph.dist, graph.stamp
-    base = np.arange(groups, dtype=np.int64) * n_nodes
-    sizes = np.array([len(s) for s in sources], dtype=np.int64)
-    frontier = np.concatenate([np.asarray(s, dtype=np.int64) for s in sources])
-    frontier += np.repeat(base, sizes)
-    label[frontier] = np.arange(frontier.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    label, dist, stamp, adj = graph.label, graph.dist, graph.stamp, graph.adj
+    if groups == 1:
+        frontier = np.asarray(sources[0], dtype=np.int64)
+    else:
+        base = np.arange(groups, dtype=np.int64) * n_nodes
+        sizes = [len(s) for s in sources]
+        frontier = np.concatenate(sources).astype(np.int64) + np.repeat(base, sizes)
+    # Labels are distinct over all groups, so distinct within each.
+    labs = np.arange(frontier.size, dtype=np.int32)
+    label[frontier] = labs
     dist[frontier] = 0
     visited = [frontier]
     if walls is not None:
         walls = np.asarray(walls, dtype=np.int64)
-        walls = (base + walls)[walls >= 0]
+        walls = (walls + np.arange(groups) * n_nodes)[walls >= 0]
         label[walls] = _WALL
         visited.append(walls)
     pair_meet = np.full(groups, np.inf)
-    active = np.ones(groups, dtype=bool)
-    stop = np.zeros(groups, dtype=np.int64)
+    # Each group's stop level, past every level until its pair_meet is found.
+    stop = np.full(groups, n_nodes, dtype=np.int64)
+    halt = n_nodes
+    seeking = groups
     level = 0
     while frontier.size:
-        limit = 2 * level if targets is None else min(level + 2, 2 * level)
-        done = active & (pair_meet <= limit)
-        if done.any():
-            active &= ~done
-            stop[done] = level
-            frontier = frontier[active[frontier // n_nodes]]
+        if level == halt:
+            if groups == 1:
+                break
+            going = stop[frontier // n_nodes] > level
+            frontier = frontier[going]
+            if seeking:
+                labs = labs[going]
+            halt = int(stop[stop > level].min(initial=n_nodes))
             if not frontier.size:
                 break
-        nbrs, deg = _neighbours(graph, frontier, groups)
-        labs = np.repeat(label[frontier], deg)
-        fresh = label[nbrs] == -1
-        nbrs, labs = nbrs[fresh], labs[fresh]
+        if groups == 1:
+            nbrs = adj[frontier]
+        else:
+            node = frontier % n_nodes
+            nbrs = adj[node]
+            nbrs += (frontier - node)[:, None]
+        fresh = (label[nbrs] == -1).ravel().nonzero()[0]
+        if seeking:
+            labs = labs[fresh // nbrs.shape[1]]
+        nbrs = nbrs.ravel()[fresh]
         pos = np.arange(nbrs.size, dtype=np.int32)
         stamp[nbrs] = pos
         winner = stamp[nbrs]
-        clash = labs[winner] != labs
-        if clash.any():
-            met = nbrs[clash] // n_nodes
-            pair_meet[met] = np.minimum(pair_meet[met], 2 * (level + 1))
         first = winner == pos
         frontier = nbrs[first]
+        if seeking:
+            clash = labs[winner] != labs
+            # count_nonzero, not any(): on short arrays it costs a third.
+            if np.count_nonzero(clash):
+                met = np.isinf(pair_meet)
+                if groups > 1:
+                    met &= np.bincount(nbrs[clash] // n_nodes, minlength=groups) > 0
+                count = np.count_nonzero(met)
+                if count:
+                    pair_meet[met] = 2 * (level + 1)
+                    after = level + 1
+                    if targets is not None:
+                        after = max(after, 2 * level - (share is not None))
+                    stop[met] = after
+                    halt = min(halt, after)
+                    seeking -= count
+            labs = labs[first]
+            label[frontier] = labs
+        else:
+            label[frontier] = 0
         level += 1
-        label[frontier] = labs[first]
-        dist[frontier] = level
+        if targets is not None:
+            dist[frontier] = level
         visited.append(frontier)
-    stop[active] = level
     found = None
     if targets is not None:
-        flat = (base[:, None] + np.asarray(targets, dtype=np.int64)).ravel()
+        targets = np.asarray(targets, dtype=np.int64)
+        flat = targets if groups == 1 else (base[:, None] + targets).ravel()
         lab = label[flat]
-        found = np.where(lab >= 0, dist[flat], -1)
-        want = np.flatnonzero(lab == -1)
-        nbrs, deg = _neighbours(graph, flat[want], groups)
-        hit = label[nbrs] >= 0
-        found[np.repeat(want, deg)[hit]] = stop[nbrs[hit] // n_nodes] + 1
-        found = found.reshape(groups, -1)
+        reached = lab >= 0
+        found = np.where(reached, dist[flat], -1)
+        if share is None:
+            want = np.flatnonzero(lab == -1)
+            node = flat[want] % n_nodes
+            hit = want[(label[adj[node] + (flat[want] - node)[:, None]] >= 0).any(axis=1)]
+            found[hit] = stop[hit // targets.size] + 1
+            found = found.reshape(groups, -1)
+        else:
+            shape = (groups, targets.size)
+            near = (reached.reshape(shape) @ share) & (lab.reshape(shape) == -1)
+            found = np.where(near, (stop + 1 + stop % 2)[:, None], found.reshape(shape))
     label[np.concatenate(visited)] = -1
     return found, pair_meet
 
@@ -215,12 +276,11 @@ def local_girth(H: SparseBinMatrix) -> GirthReport:
     if H.rows == 0 or H.cols == 0:
         raise ValueError("girth of an empty matrix is undefined")
     graph = _Graph.tanner(H)
-    indptr, indices = graph.indptr, graph.indices
     local = np.full(H.cols, math.inf)
     roots = np.flatnonzero(graph.fill[: H.cols] >= 2)
     for first in range(0, roots.size, _PASS_GROUPS):
         group = roots[first : first + _PASS_GROUPS]
-        sources = [indices[indptr[v] : indptr[v + 1]] for v in group]
+        sources = [graph.adj[v, : graph.fill[v]] for v in group]
         local[group] = _labelled_bfs(graph, sources, group)[1] + 2
     finite = local[np.isfinite(local)]
     hist: dict = {}
@@ -246,37 +306,36 @@ def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> P
     # present leaves the start graph: the column-code checks are refilled
     # as the permutations are chosen.
     graph = _Graph.tanner(build_hp(a, b).H)
-    node = np.repeat(np.arange(graph.n_nodes), graph.fill)
-    row_code = (node < chk2_base) & (graph.indices < chk2_base)
-    graph.fill = np.bincount(node[row_code], minlength=graph.n_nodes)
+    nodes = np.arange(graph.n_nodes)[:, None]
+    row_code = (nodes < chk2_base) & (graph.adj < chk2_base) & (graph.adj != nodes)
+    graph.truncate(np.count_nonzero(row_code, axis=1))
+    # Block j's candidates are the variables of row j.  A free one has
+    # only its row-code checks, which join only row j's variables, and
+    # two of those share a check where their columns share one in H_a.
+    h_a = a.H.to_dense().astype(np.int64)
+    share = h_a.T @ h_a > 0
 
-    def quality(j: int, sources) -> np.ndarray:
-        """Scores of block j's candidates against the current graph, one
-        row per entry of `sources`, the checks of one variable's new edges."""
-        targets = np.arange(j * n_a, (j + 1) * n_a)
-        qual = []
-        for first in range(0, len(sources), _PASS_GROUPS):
-            part = sources[first : first + _PASS_GROUPS]
-            dist, pair_meet = _labelled_bfs(graph, part, targets=targets)
-            cand = dist.astype(np.float64)
-            cand[cand < 0] = math.inf
-            qual.append(np.minimum(pair_meet[:, None] + 2, cand + 1))
-        return np.concatenate(qual)
+    def quality(targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """Scores of the free candidates `targets` against the current
+        graph, one row per row of `sources`, the checks of one variable's
+        new edges."""
+        dist, pair_meet = _labelled_bfs(graph, sources, targets=targets, share=share)
+        return np.minimum(pair_meet[:, None] + 2, np.where(dist < 0, math.inf, dist + 1))
 
     def pick_max(qual: np.ndarray) -> int:
-        top = qual.max()
-        ties = np.flatnonzero(qual == top)
+        ties = (qual == qual[qual.argmax()]).nonzero()[0]
         return int(ties[rng.integers(len(ties))])
 
-    def commit(j: int, t: int, sources) -> None:
-        for chk in sources:
-            graph.add_edge(chk, j * n_a + t)
+    def commit(var: int, sources: np.ndarray) -> None:
+        for chk in sources.tolist():
+            graph.add_edge(chk, var)
 
     perms = []
     for j in range(n_b):
-        sources_of = [
-            [chk2_base + int(s) * n_a + u for s in colsup_b[j]] for u in range(n_a)
-        ]
+        # Row u lists the column-code checks that the variable placed
+        # for row u of block j's permutation joins.
+        sources = chk2_base + colsup_b[j] * n_a + np.arange(n_a)[:, None]
+        targets = np.arange(j * n_a, (j + 1) * n_a)
         # Variables of block columns past the information rows carry no
         # row-code edges yet, so every candidate is equivalent there.
         blind = j >= k_b or len(colsup_b[j]) == 0
@@ -284,7 +343,10 @@ def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> P
             if blind:
                 shift = int(rng.integers(n_a))
             else:
-                qual = quality(j, sources_of)
+                qual = np.concatenate([
+                    quality(targets, sources[first : first + _PASS_GROUPS])
+                    for first in range(0, n_a, _PASS_GROUPS)
+                ])
                 rows = np.arange(n_a)
                 shift_qual = np.array(
                     [qual[rows, (rows + s) % n_a].min() for s in range(n_a)]
@@ -292,7 +354,7 @@ def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> P
                 shift = pick_max(shift_qual)
             perm = (np.arange(n_a) + shift) % n_a
             for u in range(n_a):
-                commit(j, int(perm[u]), sources_of[u])
+                commit(j * n_a + int(perm[u]), sources[u])
         else:
             perm = np.empty(n_a, dtype=np.int64)
             used = np.zeros(n_a, dtype=bool)
@@ -300,11 +362,11 @@ def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> P
                 if blind:
                     qual = np.where(used, -math.inf, 0.0)
                 else:
-                    qual = np.where(used, -math.inf, quality(j, [sources_of[u]])[0])
+                    qual = np.where(used, -math.inf, quality(targets, sources[u : u + 1])[0])
                 t = pick_max(qual)
                 perm[u] = t
                 used[t] = True
-                commit(j, t, sources_of[u])
+                commit(j * n_a + t, sources[u])
         perms.append(perm)
     return PermutationArray(n_a, perms)
 

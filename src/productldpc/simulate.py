@@ -25,6 +25,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -124,11 +125,13 @@ def _run_chunk(code, ebn0_db: float, n_frames: int, seed, point_idx: int,
     return bit_errors, frame_errors, iterations, n_frames
 
 
-def _chunk_plan(max_frames: int) -> list:
-    sizes = [CHUNK_FRAMES] * (max_frames // CHUNK_FRAMES)
-    if max_frames % CHUNK_FRAMES:
-        sizes.append(max_frames % CHUNK_FRAMES)
-    return sizes
+def _chunk_plan(max_frames: int):
+    """The frame counts of a point's chunks, in order, made as they are
+    asked for: a point that stops early never holds the rest."""
+    full, rest = divmod(max_frames, CHUNK_FRAMES)
+    yield from repeat(CHUNK_FRAMES, full)
+    if rest:
+        yield rest
 
 
 # The code of the sweep a pool worker serves, set once by _init_worker

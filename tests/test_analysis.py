@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,35 @@ class TestSpectrumTerms:
         doc = {"n": None, "k": 25, "complete": False, "counts": {"16": 64}}
         with pytest.raises(ValueError, match="not a number"):
             WeightSpectrum.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 144.9, "spectrum n must be an integer, got 144.9"),
+        ("n", True, "spectrum n must be an integer, got True"),
+        ("k", 25.0, "spectrum k must be an integer, got 25.0"),
+        ("k", "25", "not a number"),
+        ("count", 64.7, "spectrum A_16 must be an integer, got 64.7"),
+        ("count", False, "spectrum A_16 must be an integer, got False"),
+        ("weight", "16.5", "spectrum weight '16.5' is not an integer"),
+        ("weight", "1_6", "spectrum weight '1_6' is not an integer"),
+        ("weight", " 16", "spectrum weight ' 16' is not an integer"),
+        ("complete", "no", "complete must be true or false, got 'no'"),
+        ("complete", 0, "complete must be true or false, got 0"),
+    ])
+    def test_from_json_rejects_non_integers(self, field, value, message):
+        doc = {"n": 144, "k": 25, "complete": False, "counts": {"16": 64}}
+        if field == "count":
+            doc["counts"] = {"16": value}
+        elif field == "weight":
+            doc["counts"] = {value: 64}
+        else:
+            doc[field] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightSpectrum.from_json_dict(doc)
+
+    def test_from_json_keeps_integer_entries(self):
+        doc = {"n": 144, "k": 25, "complete": True, "counts": {"0": 1, "16": 64}}
+        spec = WeightSpectrum.from_json_dict(doc)
+        assert (spec.n, spec.k, spec.complete, spec.counts) == (144, 25, True, {0: 1, 16: 64})
 
     def test_from_json_applies_term_checks(self):
         doc = {"n": 144, "k": 25, "complete": False, "counts": {"200": 1}}

@@ -57,6 +57,8 @@ def test_peg_then_interleaved_construct(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert "seed=11" in result.output
+    design_s = result.output.splitlines()[-1]
+    assert design_s.startswith("design_s=") and float(design_s[len("design_s="):]) >= 0
     doc = json.loads(perms.read_text())
     assert doc["n_a"] == 12 and len(doc["perms"]) == 12
     assert doc["meta"]["seed"] == 11
@@ -175,6 +177,30 @@ def test_bound_rejects_misshapen_spectrum_file(runner, tmp_path, doc):
     out = result.output.strip()
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert out.startswith("error:") and "JSON object" in out and "\n" not in out
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"n": 144.9, "k": 25, "complete": false, "counts": {"16": 64}}',
+     "spectrum n must be an integer, got 144.9"),
+    ('{"n": 144, "k": 25, "complete": false, "counts": {"16": 64.7}}',
+     "spectrum A_16 must be an integer, got 64.7"),
+    ('{"n": 144, "k": 25, "complete": "no", "counts": {"16": 64}}',
+     "spectrum complete must be true or false, got 'no'"),
+    ('{"n": 144, "k": true, "complete": false, "counts": {"16": 64}}',
+     "spectrum k must be an integer, got True"),
+    ('{"n": 144, "k": 25, "complete": false, "counts": {"16.5": 64}}',
+     "spectrum weight '16.5' is not an integer"),
+], ids=["n-float", "count-float", "complete-string", "k-bool", "weight-float"])
+def test_bound_rejects_non_integer_spectrum_entries(runner, tmp_path, doc, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(doc)
+    result = runner.invoke(
+        main, ["bound", "--spectrum", str(spec), "--ebn0", "1,2", "--out", str(tmp_path / "x.csv")]
+    )
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out == f"error: {message}"
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -132,11 +132,28 @@ def _bfs_case(draw):
     """A bipartite graph with variables 0..n-1 and checks n..n+m-1, held
     with spare capacity at some nodes as in a part-built design graph,
     and up to four groups, each with distinct check sources and a
-    variable wall or none."""
+    variable wall or none.
+
+    Half the cases are design-shaped: the last nb variables are a block
+    whose checks, the last mb checks, join only block variables, as the
+    row-code checks join a block of candidates, and the rest of the
+    graph joins only the rest.  Their targets are the block, with the
+    table of which targets share a check.  Every node is a target of the
+    other cases, which pass no table."""
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 8))
-    edges = sorted(draw(st.sets(st.tuples(st.integers(n, n + m - 1), st.integers(0, n - 1)),
-                                max_size=n * m)))
+    block = None
+    if draw(st.booleans()):
+        nb, mb = draw(st.integers(1, n)), draw(st.integers(1, m))
+        inside = st.tuples(st.integers(n + m - mb, n + m - 1), st.integers(n - nb, n - 1))
+        edges = draw(st.sets(inside, max_size=nb * mb))
+        if nb < n and mb < m:
+            outside = st.tuples(st.integers(n, n + m - mb - 1), st.integers(0, n - nb - 1))
+            edges |= draw(st.sets(outside, max_size=(n - nb) * (m - mb)))
+        block = _block(n, m, nb, mb, edges)
+    else:
+        edges = draw(st.sets(st.tuples(st.integers(n, n + m - 1), st.integers(0, n - 1)),
+                             max_size=n * m))
     spare = draw(st.lists(st.integers(0, 2), min_size=n + m, max_size=n + m))
     groups = []
     for _ in range(draw(st.integers(1, 4))):
@@ -144,7 +161,17 @@ def _bfs_case(draw):
                                 unique=True))
         wall = draw(st.integers(-1, n - 1))
         groups.append((sources, wall))
-    return n + m, edges, spare, groups
+    return n + m, sorted(edges), spare, groups, block
+
+
+def _block(n, m, nb, mb, edges):
+    """The targets of a block of the last nb variables and mb checks, and
+    the (nb, nb) table of which two share a check."""
+    incidence = np.zeros((mb, nb), dtype=np.int64)
+    for c, v in edges:
+        if c >= n + m - mb:
+            incidence[c - (n + m - mb), v - (n - nb)] = 1
+    return np.arange(n - nb, n), incidence.T @ incidence > 0
 
 
 def _bfs_oracle(n_nodes, edges, sources, wall):
@@ -166,36 +193,73 @@ def _bfs_oracle(n_nodes, edges, sources, wall):
 # off its last frontier.
 _BRANCH = (16, [(8, 0), (9, 0), (9, 1), (10, 1), (10, 2), (11, 2), (12, 1), (12, 3),
                 (13, 3), (13, 4), (14, 4), (14, 5), (15, 5), (15, 6)],
-           [0] * 16, [([8, 10], -1), ([8, 11], -1)])
+           [0] * 16, [([8, 10], -1), ([8, 11], -1)], None)
+
+# A design-shaped tree: block variables 2-9 and checks 11-18, and check
+# 10 joining variables 0 and 1 outside it.  Check 11 leads through 2,
+# 12, 3, 13, 4, 14 and 5 to check 15, and through 6, 16, 7, 17, 8 and 18
+# to variable 9.  Sources 11 and 15 meet at 8, so the search stops at
+# frontier 5 and reads variable 9, at 7, off the check it shares with
+# variable 8; sources 11 and 14 meet at 6 and stop at frontier 3 with
+# variable 8 at 5; sources 12 and 16 meet at 4 and stop at frontier 2
+# with variables 4 and 8 at 3; sources 12 and 18 walled off from
+# variable 7 never meet.
+_SHARE_EDGES = [(10, 0), (10, 1), (11, 2), (11, 6), (12, 2), (12, 3), (13, 3), (13, 4),
+                (14, 4), (14, 5), (15, 5), (16, 6), (16, 7), (17, 7), (17, 8), (18, 8),
+                (18, 9)]
+_SHARE = (19, _SHARE_EDGES, [0] * 19,
+          [([11, 15], -1), ([11, 14, 10], -1), ([12, 16], -1), ([12, 18], 7)],
+          _block(10, 9, 8, 8, _SHARE_EDGES))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
 @given(_bfs_case(), st.booleans())
 @example(_BRANCH, True)
 @example(_BRANCH, False)
+@example(_SHARE, True)
+@example(_SHARE, False)
 def test_labelled_bfs_matches_scipy_shortest_paths(case, design):
-    n_nodes, edges, spare, groups = case
+    n_nodes, edges, spare, groups, block = case
     degree = np.bincount(np.array(edges, dtype=int).ravel(), minlength=n_nodes)
     graph = _Graph(degree + np.array(spare))
     for u, v in edges:
         graph.add_edge(u, v)
     sources = [g[0] for g in groups]
     walls = [g[1] for g in groups]
-    targets = np.arange(n_nodes) if design else None
+    targets, share = block if block is not None else (np.arange(n_nodes), None)
+    if not design:
+        targets = share = None
     for _ in range(2):  # the second call finds the state the first left
-        found, pair_meet = _labelled_bfs(graph, sources, walls, targets)
+        found, pair_meet = _labelled_bfs(graph, sources, walls, targets, share)
         for g, (src, wall) in enumerate(groups):
             dist, meet = _bfs_oracle(n_nodes, edges, src, wall)
             assert pair_meet[g] == meet
             if design:
                 # exact where the design reads, never wrong elsewhere
+                dist = dist[targets]
                 exact = np.where(np.isinf(dist), -1, dist)
                 assert np.all((found[g] == exact) | (found[g] == -1))
                 assert np.array_equal(found[g][dist < meet], exact[dist < meet])
-                if wall >= 0:
-                    assert found[g][wall] == -1
+                assert np.all(found[g][targets == wall] == -1)
             else:
                 assert found is None
+
+
+def test_shared_check_stop_matches_the_neighbour_read_off():
+    # The three meeting groups of _SHARE stop at frontiers 5, 3 and 2
+    # with the table, and at 6, 4 and 2 without it.
+    n_nodes, edges, _, groups, (targets, share) = _SHARE
+    graph = _Graph(np.bincount(np.array(edges).ravel(), minlength=n_nodes))
+    for u, v in edges:
+        graph.add_edge(u, v)
+    sources = [g[0] for g in groups[:3]]
+    found, pair_meet = _labelled_bfs(graph, sources, targets=targets, share=share)
+    assert pair_meet.tolist() == [8, 6, 4]
+    assert found.tolist() == [[1, 3, 3, 1, 1, 3, 5, 7],
+                              [1, 3, 1, 1, 1, 3, 5, -1],
+                              [1, 1, 3, -1, 1, 1, 3, -1]]
+    unshared, _ = _labelled_bfs(graph, sources, targets=targets)
+    assert np.array_equal(unshared, found)
 
 
 class TestFullSize:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -11,6 +12,7 @@ from productldpc.simulate import (
     IdentityCode,
     SimConfig,
     SimPoint,
+    _chunk_plan,
     _run_chunk,
     _simulate_point,
     run_sweep,
@@ -123,6 +125,31 @@ class TestDeterminism:
         points = run_sweep(cfg).points
         assert sum(p.frames for p in points) == 600  # 24 chunks over 3 points
         assert CountingCode.pickles <= cfg.workers
+
+
+class TestChunkPlan:
+    @pytest.mark.parametrize("max_frames, sizes", [
+        (1, [1]),
+        (CHUNK_FRAMES, [CHUNK_FRAMES]),
+        (2 * CHUNK_FRAMES, [CHUNK_FRAMES, CHUNK_FRAMES]),
+        (2 * CHUNK_FRAMES + 10, [CHUNK_FRAMES, CHUNK_FRAMES, 10]),
+    ])
+    def test_sizes(self, max_frames, sizes):
+        assert list(_chunk_plan(max_frames)) == sizes
+
+    def test_a_large_frame_cap_is_not_built_up_front(self):
+        # Every frame fails, so the point stops after two chunks; a plan
+        # built as a list would hold 4 million sizes (about 30 MiB).
+        cfg = SimConfig(code=IdentityCode(16), ebn0_db=[-30.0], min_frame_errors=50,
+                        max_frames=10**8, seed=5)
+        tracemalloc.start()
+        try:
+            (point,) = run_sweep(cfg).points
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (point.frames, point.frame_errors) == (50, 50)
+        assert peak < 1 << 20
 
 
 class TestCounters:
