@@ -10,8 +10,11 @@ random from a seeded generator, so equal seeds reproduce equal arrays.
 
 Both the design and the girth measurement run one labelled BFS,
 _labelled_bfs, which needs no sort, and each stops at the depth it
-reads.  The graph keeps each node's neighbours in one padded row whose
-free slots hold the node itself, so a level expands by one 2-D gather.
+reads.  Where the node degrees are near regular, as in the product
+codes' Tanner graphs, the graph keeps each node's neighbours in one
+padded row whose free slots hold the node itself, so a level expands by
+one 2-D gather; a graph with a few long rows (a long spc check, a dense
+alist row) keeps CSR slots instead, so memory stays linear in the edges.
 The girth of a variable is 2 plus the least distance between two of its
 checks in the graph without it, so that search stops as soon as that
 distance is exact; local_girth runs many roots per call.  A design
@@ -71,20 +74,36 @@ _WALL = -2
 # touch more memory per level.
 _PASS_GROUPS = 32
 
+# A graph gets padded rows while its largest capacity is at most this
+# many times the mean, so the rows never take more than this many times
+# the slots of CSR.  The Tanner graphs of mscmpc:81:9,10^2 and
+# mscmpc:169:13,14^2 stay under 2.5; a long spc check or a dense alist
+# row makes a graph CSR.
+_PAD_SPREAD = 4
+
 
 class _Graph:
-    """Adjacency held as one row per node, as wide as the largest
-    capacity[v]: the first fill[v] slots of row v hold the edges present
-    and every free slot holds v itself.  Plus the state _labelled_bfs
-    reuses: a label per (group, node), which is -1 between searches, and
-    working distances and stamps."""
+    """Adjacency with room for capacity[v] edges at node v, in slots
+    indptr[v] to indptr[v + 1] - 1 of `slots`: the first fill[v] hold the
+    edges present and every free slot holds v itself.  Where no capacity
+    exceeds _PAD_SPREAD times the mean, every node gets the largest
+    capacity and `rows` views the slots as one padded row per node;
+    otherwise `rows` is None.  Plus the state _labelled_bfs reuses: a
+    label per (group, node), which is -1 between searches, and working
+    distances and stamps."""
 
     def __init__(self, capacity) -> None:
         capacity = np.asarray(capacity, dtype=np.int64)
-        self.n_nodes = capacity.size
-        width = int(capacity.max()) if capacity.size else 0
-        self.adj = np.repeat(np.arange(self.n_nodes, dtype=np.int64)[:, None], width, axis=1)
-        self.fill = np.zeros(self.n_nodes, dtype=np.int64)
+        n = self.n_nodes = capacity.size
+        width = int(capacity.max()) if n else 0
+        padded = width * n <= _PAD_SPREAD * int(capacity.sum())
+        if padded:
+            capacity = np.full(n, width)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(capacity, out=self.indptr[1:])
+        self.slots = np.repeat(np.arange(n, dtype=np.int64), capacity)
+        self.rows = self.slots.reshape(n, width) if padded else None
+        self.fill = np.zeros(n, dtype=np.int64)
         self.label = self.dist = self.stamp = np.empty(0, dtype=np.int32)
 
     @classmethod
@@ -95,24 +114,26 @@ class _Graph:
         ends = np.concatenate([H.indices, checks])
         order = np.argsort(ends, kind="stable")
         ends, others = ends[order], np.concatenate([checks, H.indices])[order]
-        del checks, order  # before the padded rows, which are the largest array
+        del checks, order
         degree = np.bincount(ends, minlength=n + m)
         graph = cls(degree)
         slot = np.arange(ends.size)
-        slot -= (np.cumsum(degree) - degree)[ends]
-        graph.adj[ends, slot] = others
+        slot += (graph.indptr[:-1] - np.cumsum(degree) + degree)[ends]
+        graph.slots[slot] = others
         graph.fill = degree
         return graph
 
-    def truncate(self, fill: np.ndarray) -> None:
-        """Keep only the first fill[v] edges of each node v."""
-        free = np.arange(self.adj.shape[1]) >= fill[:, None]
-        np.copyto(self.adj, np.arange(self.n_nodes)[:, None], where=free)
-        self.fill = fill
+    def keep_below(self, first: int) -> None:
+        """Drop every edge at nodes first and up.  Each node's edges to
+        nodes below `first` must come before its other edges."""
+        owner = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+        kept = (owner < first) & (self.slots < first) & (self.slots != owner)
+        self.fill = np.bincount(owner[kept], minlength=self.n_nodes)
+        np.copyto(self.slots, owner, where=~kept)
 
     def add_edge(self, u: int, v: int) -> None:
-        self.adj[u, self.fill[u]] = v
-        self.adj[v, self.fill[v]] = u
+        self.slots[self.indptr[u] + self.fill[u]] = v
+        self.slots[self.indptr[v] + self.fill[v]] = u
         self.fill[u] += 1
         self.fill[v] += 1
 
@@ -129,39 +150,37 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
 
     The search is level-synchronized and every source carries its own
     label.  No level is sorted.  A level expands by one gather of the
-    frontier's padded adjacency rows; a node's free slots hold the node
-    itself, which is labelled, so the fresh test drops them.  The
-    frontier writes its labels onto its fresh neighbours by scatter and
-    reads them back, and the next frontier is deduplicated the same way
-    with a position stamp.  A fresh node that reads back another label
-    than the one it was reached with was reached by two labels from
-    level L, which closes a path of length 2(L + 1) between two sources.
-    Which label wins a node does not matter: a node's label is always a
-    source at its exact distance, so the shortest path between two
-    sources has an edge where the label changes, between levels l and
-    l + 1 with 2(l + 1) the path's length, and that edge is read back as
-    a clash when level l is expanded.  So the first clash a group sees
-    gives its pair_meet, which is final, and its stop level is set then;
-    each level compares one integer, the least stop level of the groups
-    still searching, and drops the stopped groups' nodes when it is
-    reached.  Once every group has its pair_meet, labels only mark nodes
-    as reached.
+    frontier's padded rows, or of its CSR slots where the graph has no
+    padded rows; a node's free row slots hold the node itself, which is
+    labelled, so the fresh test drops them.  The frontier writes its
+    labels onto its fresh neighbours by scatter and reads them back, and
+    the next frontier is deduplicated the same way with a position stamp.
+    A fresh node that reads back another label than the one it was
+    reached with was reached by two labels from level L, which closes a
+    path of length 2(L + 1) between two sources.  Which label wins a node
+    does not matter: a node's label is always a source at its exact
+    distance, so the shortest path between two sources has an edge where
+    the label changes, between levels l and l + 1 with 2(l + 1) the
+    path's length, and that edge is read back as a clash when level l is
+    expanded.  So the first clash a group sees gives its pair_meet, which
+    is final, and its stop level is set then; each level compares one
+    integer, the least stop level of the groups still searching, and
+    drops the stopped groups' nodes when it is reached.  Once every group
+    has its pair_meet, labels only mark nodes as reached.
 
     A group found to meet at pair_meet when expanding level l stops at
     frontier level l + 1 without `targets` (girth, pair_meet = 2(l + 1)).
-    With `targets` (design) it stops at max(l + 1, pair_meet - 2) and,
-    instead of expanding that level L, gives distance L + 1 to each
-    unreached target next to a reached node, which can only be a node of
-    level L; so every target nearer than pair_meet to a source has its
-    distance.  With `share` as well, a (T, T) boolean table of which
-    targets share a neighbour, it stops one level sooner, at
-    max(l + 1, pair_meet - 3), and gives distance L + 1 + (L % 2) to each
-    unreached target that shares a neighbour with a reached target.  That
-    needs the targets on the side away from the sources, at odd
-    distances, and every neighbour of an unreached target present and
-    adjacent to targets only: the last two steps of a shortest path to it
-    then run from a target through a shared neighbour, and that target is
-    at the last odd level, L or L - 1.
+    With `targets` (design), `share` must be the (T, T) boolean table of
+    which targets share a neighbour.  The group then stops at frontier
+    L = max(l + 1, pair_meet - 3) and, instead of expanding further,
+    gives distance L + 1 + (L % 2) to each unreached target that shares a
+    neighbour with a reached target, so every target nearer than
+    pair_meet to a source has its distance.  That needs the targets on
+    the side away from the sources, at odd distances, and every neighbour
+    of an unreached target present and adjacent to targets only: the
+    last two steps of a shortest path to it then run from a target
+    through a shared neighbour, and that target is at the last odd
+    level, L or L - 1.
 
     Returns the targets' distances, shape (G, T) with -1 where not
     found (None without targets), and pair_meet, shape (G,), inf where no
@@ -172,7 +191,8 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
         graph.label = np.full(groups * n_nodes, -1, dtype=np.int32)
         graph.dist = np.empty(groups * n_nodes, dtype=np.int32)
         graph.stamp = np.empty(groups * n_nodes, dtype=np.int32)
-    label, dist, stamp, adj = graph.label, graph.dist, graph.stamp, graph.adj
+    label, dist, stamp = graph.label, graph.dist, graph.stamp
+    rows, slots, indptr, fill = graph.rows, graph.slots, graph.indptr, graph.fill
     if groups == 1:
         frontier = np.asarray(sources[0], dtype=np.int64)
     else:
@@ -206,16 +226,25 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
             halt = int(stop[stop > level].min(initial=n_nodes))
             if not frontier.size:
                 break
-        if groups == 1:
-            nbrs = adj[frontier]
+        node = frontier if groups == 1 else frontier % n_nodes
+        if rows is not None:
+            nbrs = rows[node]
+            if groups > 1:
+                nbrs += (frontier - node)[:, None]
+            fresh = (label[nbrs] == -1).ravel().nonzero()[0]
+            if seeking:
+                labs = labs[fresh // nbrs.shape[1]]
+            nbrs = nbrs.ravel()[fresh]
         else:
-            node = frontier % n_nodes
-            nbrs = adj[node]
-            nbrs += (frontier - node)[:, None]
-        fresh = (label[nbrs] == -1).ravel().nonzero()[0]
-        if seeking:
-            labs = labs[fresh // nbrs.shape[1]]
-        nbrs = nbrs.ravel()[fresh]
+            deg = fill[node]
+            ends = np.cumsum(deg)
+            nbrs = slots[np.arange(ends[-1]) + np.repeat(indptr[node] + deg - ends, deg)]
+            if groups > 1:
+                nbrs += np.repeat(frontier - node, deg)
+            fresh = label[nbrs] == -1
+            if seeking:
+                labs = np.repeat(labs, deg)[fresh]
+            nbrs = nbrs[fresh]
         pos = np.arange(nbrs.size, dtype=np.int32)
         stamp[nbrs] = pos
         winner = stamp[nbrs]
@@ -231,9 +260,7 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
                 count = np.count_nonzero(met)
                 if count:
                     pair_meet[met] = 2 * (level + 1)
-                    after = level + 1
-                    if targets is not None:
-                        after = max(after, 2 * level - (share is not None))
+                    after = level + 1 if targets is None else max(level + 1, 2 * level - 1)
                     stop[met] = after
                     halt = min(halt, after)
                     seeking -= count
@@ -249,19 +276,10 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
     if targets is not None:
         targets = np.asarray(targets, dtype=np.int64)
         flat = targets if groups == 1 else (base[:, None] + targets).ravel()
-        lab = label[flat]
-        reached = lab >= 0
-        found = np.where(reached, dist[flat], -1)
-        if share is None:
-            want = np.flatnonzero(lab == -1)
-            node = flat[want] % n_nodes
-            hit = want[(label[adj[node] + (flat[want] - node)[:, None]] >= 0).any(axis=1)]
-            found[hit] = stop[hit // targets.size] + 1
-            found = found.reshape(groups, -1)
-        else:
-            shape = (groups, targets.size)
-            near = (reached.reshape(shape) @ share) & (lab.reshape(shape) == -1)
-            found = np.where(near, (stop + 1 + stop % 2)[:, None], found.reshape(shape))
+        lab = label[flat].reshape(groups, targets.size)
+        found = np.where(lab >= 0, dist[flat].reshape(lab.shape), -1)
+        near = ((lab >= 0) @ share) & (lab == -1)
+        found = np.where(near, (stop + 1 + stop % 2)[:, None], found)
     label[np.concatenate(visited)] = -1
     return found, pair_meet
 
@@ -276,11 +294,12 @@ def local_girth(H: SparseBinMatrix) -> GirthReport:
     if H.rows == 0 or H.cols == 0:
         raise ValueError("girth of an empty matrix is undefined")
     graph = _Graph.tanner(H)
+    slots, indptr, fill = graph.slots, graph.indptr, graph.fill
     local = np.full(H.cols, math.inf)
-    roots = np.flatnonzero(graph.fill[: H.cols] >= 2)
+    roots = np.flatnonzero(fill[: H.cols] >= 2)
     for first in range(0, roots.size, _PASS_GROUPS):
         group = roots[first : first + _PASS_GROUPS]
-        sources = [graph.adj[v, : graph.fill[v]] for v in group]
+        sources = [slots[indptr[v] : indptr[v] + fill[v]] for v in group]
         local[group] = _labelled_bfs(graph, sources, group)[1] + 2
     finite = local[np.isfinite(local)]
     hist: dict = {}
@@ -306,9 +325,7 @@ def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> P
     # present leaves the start graph: the column-code checks are refilled
     # as the permutations are chosen.
     graph = _Graph.tanner(build_hp(a, b).H)
-    nodes = np.arange(graph.n_nodes)[:, None]
-    row_code = (nodes < chk2_base) & (graph.adj < chk2_base) & (graph.adj != nodes)
-    graph.truncate(np.count_nonzero(row_code, axis=1))
+    graph.keep_below(chk2_base)
     # Block j's candidates are the variables of row j.  A free one has
     # only its row-code checks, which join only row j's variables, and
     # two of those share a check where their columns share one in H_a.

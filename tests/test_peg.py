@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -132,14 +133,15 @@ def _bfs_case(draw):
     """A bipartite graph with variables 0..n-1 and checks n..n+m-1, held
     with spare capacity at some nodes as in a part-built design graph,
     and up to four groups, each with distinct check sources and a
-    variable wall or none.
+    variable wall or none.  In some cases one node has room for so many
+    more edges that the graph keeps CSR slots, not padded rows.
 
     Half the cases are design-shaped: the last nb variables are a block
     whose checks, the last mb checks, join only block variables, as the
     row-code checks join a block of candidates, and the rest of the
     graph joins only the rest.  Their targets are the block, with the
-    table of which targets share a check.  Every node is a target of the
-    other cases, which pass no table."""
+    table of which targets share a check.  The other cases have no
+    targets."""
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 8))
     block = None
@@ -155,6 +157,7 @@ def _bfs_case(draw):
         edges = draw(st.sets(st.tuples(st.integers(n, n + m - 1), st.integers(0, n - 1)),
                              max_size=n * m))
     spare = draw(st.lists(st.integers(0, 2), min_size=n + m, max_size=n + m))
+    spare[draw(st.integers(0, n + m - 1))] += draw(st.sampled_from([0, 20 * (n + m)]))
     groups = []
     for _ in range(draw(st.integers(1, 4))):
         sources = draw(st.lists(st.integers(n, n + m - 1), min_size=1, max_size=m,
@@ -189,11 +192,13 @@ def _bfs_oracle(n_nodes, edges, sources, wall):
 # from variable 1 through check 12 to variable 3; and a tail from 3
 # through checks 13-15 and variables 4-6.  Sources 8 and 10 meet at 4
 # with variable 3 at 3, and sources 8 and 11 at 6 with variable 3 at 5,
-# so the two groups stop at different levels, each with a target read
-# off its last frontier.
-_BRANCH = (16, [(8, 0), (9, 0), (9, 1), (10, 1), (10, 2), (11, 2), (12, 1), (12, 3),
-                (13, 3), (13, 4), (14, 4), (14, 5), (15, 5), (15, 6)],
-           [0] * 16, [([8, 10], -1), ([8, 11], -1)], None)
+# so the two groups stop at different levels, frontiers 2 and 3, each
+# reading variable 3 off the check it shares with variable 1.  Every
+# variable is a target, so the whole graph is the block.
+_BRANCH_EDGES = [(8, 0), (9, 0), (9, 1), (10, 1), (10, 2), (11, 2), (12, 1), (12, 3),
+                 (13, 3), (13, 4), (14, 4), (14, 5), (15, 5), (15, 6)]
+_BRANCH = (16, _BRANCH_EDGES, [0] * 16, [([8, 10], -1), ([8, 11], -1)],
+           _block(7, 9, 7, 9, _BRANCH_EDGES))
 
 # A design-shaped tree: block variables 2-9 and checks 11-18, and check
 # 10 joining variables 0 and 1 outside it.  Check 11 leads through 2,
@@ -226,9 +231,8 @@ def test_labelled_bfs_matches_scipy_shortest_paths(case, design):
         graph.add_edge(u, v)
     sources = [g[0] for g in groups]
     walls = [g[1] for g in groups]
-    targets, share = block if block is not None else (np.arange(n_nodes), None)
-    if not design:
-        targets = share = None
+    design = design and block is not None
+    targets, share = block if design else (None, None)
     for _ in range(2):  # the second call finds the state the first left
         found, pair_meet = _labelled_bfs(graph, sources, walls, targets, share)
         for g, (src, wall) in enumerate(groups):
@@ -245,21 +249,52 @@ def test_labelled_bfs_matches_scipy_shortest_paths(case, design):
                 assert found is None
 
 
-def test_shared_check_stop_matches_the_neighbour_read_off():
-    # The three meeting groups of _SHARE stop at frontiers 5, 3 and 2
-    # with the table, and at 6, 4 and 2 without it.
-    n_nodes, edges, _, groups, (targets, share) = _SHARE
+def _star(n):
+    """A check joined to n variables, each with a check of its own."""
+    edges = [(n, v) for v in range(n)] + [(n + 1 + v, v) for v in range(n)]
+    return 2 * n + 1, edges
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_labelled_bfs_on_a_star_matches_scipy(n):
+    # Largest degree n against a mean of 4n / (2n + 1): n = 5 pads the
+    # rows and n = 8 keeps CSR slots.
+    n_nodes, edges = _star(n)
     graph = _Graph(np.bincount(np.array(edges).ravel(), minlength=n_nodes))
+    assert (graph.rows is None) == (n == 8)
     for u, v in edges:
         graph.add_edge(u, v)
-    sources = [g[0] for g in groups[:3]]
-    found, pair_meet = _labelled_bfs(graph, sources, targets=targets, share=share)
-    assert pair_meet.tolist() == [8, 6, 4]
-    assert found.tolist() == [[1, 3, 3, 1, 1, 3, 5, 7],
-                              [1, 3, 1, 1, 1, 3, 5, -1],
-                              [1, 1, 3, -1, 1, 1, 3, -1]]
-    unshared, _ = _labelled_bfs(graph, sources, targets=targets)
-    assert np.array_equal(unshared, found)
+    groups, walls = [[n + 1, n + 2], [n, n + 3], [n + 4, n + 5, n]], [-1, 2, 3]
+    for batch in ([0], [0, 1, 2]):
+        _, pair_meet = _labelled_bfs(graph, [groups[g] for g in batch], [walls[g] for g in batch])
+        assert pair_meet.tolist() == [_bfs_oracle(n_nodes, edges, groups[g], walls[g])[1]
+                                      for g in batch]
+
+
+def test_product_graphs_pad_their_rows():
+    for spec in ("spc:3", "mscmpc:5:3,4", "mscmpc:81:9,10"):
+        comp = parse_component_spec(spec)
+        assert _Graph.tanner(build_hp(comp, comp).H).rows is not None
+
+
+def test_girth_memory_stays_linear_in_the_edges():
+    # One check on all 4000 variables beside 2000 checks of degree 4:
+    # padded rows would be 6001 x 4000 slots, 190 MB.
+    n, m = 4000, 2001
+    dense = np.zeros((m, n), dtype=np.uint8)
+    dense[0] = 1
+    dense[1 + np.arange(n) % 2000, np.arange(n)] = 1
+    dense[1 + (np.arange(n) + 1) % 2000, np.arange(n)] = 1
+    H = SparseBinMatrix.from_dense(dense)
+    del dense
+    tracemalloc.start()
+    try:
+        report = local_girth(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.histogram == {4.0: n}
+    assert peak < 16 * 2**20
 
 
 class TestFullSize:

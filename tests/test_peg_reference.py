@@ -14,6 +14,7 @@ match one for one.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from productldpc import (
     design_generic,
     parse_component_spec,
 )
+from productldpc import peg
 from productldpc.decoder import check_int
 
 _WALL = -2
@@ -278,3 +280,37 @@ def test_designs_match_the_reference(comp_a, comp_b, seed):
     a, b = parse_component_spec(comp_a), parse_component_spec(comp_b)
     for circulant, design in ((True, design_circulant), (False, design_generic)):
         assert design(a, b, seed) == _design(a, b, seed, circulant)
+
+
+# A design-shaped tree: block variables 2-9 and checks 11-18, and check
+# 10 joining variables 0 and 1 outside it.  Check 11 leads through 2,
+# 12, 3, 13, 4, 14 and 5 to check 15, and through 6, 16, 7, 17, 8 and 18
+# to variable 9.  The library stops the three groups at frontiers 5, 3
+# and 2 and reads the block off the table of shared checks; the
+# reference stops them at 6, 4 and 2 and reads it off the neighbours of
+# its last frontier.
+_TREE = [(10, 0), (10, 1), (11, 2), (11, 6), (12, 2), (12, 3), (13, 3), (13, 4),
+         (14, 4), (14, 5), (15, 5), (16, 6), (16, 7), (17, 7), (17, 8), (18, 8), (18, 9)]
+
+
+@pytest.mark.parametrize("spare", [0, 200])
+def test_shared_check_read_off_matches_the_reference(spare):
+    degree = np.bincount(np.array(_TREE).ravel(), minlength=19)
+    degree[0] += spare  # 200 makes the library graph CSR, 0 leaves it padded
+    graph, reference = peg._Graph(degree), _Graph(degree)
+    assert (graph.rows is None) == (spare > 0)
+    for u, v in _TREE:
+        graph.add_edge(u, v)
+        reference.add_edge(u, v)
+    incidence = np.zeros((8, 8), dtype=np.int64)
+    for c, v in _TREE[2:]:
+        incidence[c - 11, v - 2] = 1
+    targets, share = np.arange(2, 10), incidence.T @ incidence > 0
+    sources = [[11, 15], [11, 14, 10], [12, 16]]
+    found, pair_meet = peg._labelled_bfs(graph, sources, targets=targets, share=share)
+    want, want_meet = _labelled_bfs(reference, sources, targets=targets)
+    assert pair_meet.tolist() == want_meet.tolist() == [8, 6, 4]
+    assert np.array_equal(found, want)
+    assert found.tolist() == [[1, 3, 3, 1, 1, 3, 5, 7],
+                              [1, 3, 1, 1, 1, 3, 5, -1],
+                              [1, 1, 3, -1, 1, 1, 3, -1]]
