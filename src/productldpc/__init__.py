@@ -17,7 +17,6 @@ from .components import (
     ComponentCode,
     build_mscmpc,
     build_spc,
-    encode_systematic,
     parse_component_spec,
 )
 from .decoder import DecodeResult, spa_decode
@@ -52,7 +51,6 @@ __all__ = [
     "density",
     "design_circulant",
     "design_generic",
-    "encode_systematic",
     "exhaustive_spectrum",
     "kron",
     "local_girth",

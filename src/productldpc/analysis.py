@@ -17,14 +17,12 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.special import erfc
 
-from .components import ComponentCode, encode_systematic
+from .components import ComponentCode
 from .decoder import check_int
-from .product import ProductCode
 
 EXHAUSTIVE_K_LIMIT = 28
 # (high, low) pairs weighed per block: fixes the block buffers at a few MB.
@@ -78,6 +76,9 @@ class WeightSpectrum:
             check_int(f"spectrum {name}", value, 0)
             return value
 
+        for key in ("n", "k", "complete"):
+            if key not in doc:
+                raise ValueError(f"spectrum entry {key!r} is missing")
         if not isinstance(doc["complete"], bool):
             raise ValueError(f"spectrum complete must be true or false, got {doc['complete']!r}")
         counts = {}
@@ -110,16 +111,10 @@ def _generator_words(code) -> np.ndarray:
     Bit j of a codeword is bit j % 64 of word j // 64; W = ceil(n / 64)
     and the padding bits of the last word are zero.
     """
-    if isinstance(code, ProductCode):
-        encode = code.encode
-    elif isinstance(code, ComponentCode):
-        encode = partial(encode_systematic, code)
-    else:
-        raise TypeError(f"cannot enumerate {type(code).__name__}")
     n_words = -(-code.n // 64)
     packed = np.zeros((code.k, 8 * n_words), dtype=np.uint8)
     for row, unit in zip(packed, np.eye(code.k, dtype=np.uint8)):
-        octets = np.packbits(encode(unit), bitorder="little")
+        octets = np.packbits(code.encode(unit), bitorder="little")
         row[: octets.size] = octets
     return packed.view("<u8")
 
@@ -139,7 +134,8 @@ def _span(gens: np.ndarray) -> np.ndarray:
 def exhaustive_spectrum(code) -> WeightSpectrum:
     """Exact weight spectrum by enumerating all 2^k codewords.
 
-    Accepts a ProductCode or a ComponentCode.  Each codeword is the XOR
+    Accepts any code whose encode maps a length-k info word to its
+    codeword (product, component or uncoded).  Each codeword is the XOR
     of a combination of the low ceil(k/2) generator rows with a
     combination of the high floor(k/2) rows; blocks of high combinations
     are XORed against the whole low table one 64-bit word at a time,

@@ -1,14 +1,13 @@
 """Command-line entry point.
 
 Each subcommand is a thin adapter over one library operation: it parses
-and validates flags, calls the operation, writes the declared outputs
-and exits nonzero with a one-line diagnostic on failure.  No numerics
-live here.
+and validates flags, calls the operation and writes the declared
+outputs.  The command group turns any failure into a one-line
+diagnostic and a nonzero exit.  No numerics live here.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -40,18 +39,6 @@ from .product import (
 from .simulate import IdentityCode, SimConfig, run_sweep, write_sim_csv
 
 
-def _fail_cleanly(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
 MAX_EBN0_POINTS = 100_000
 
 
@@ -70,8 +57,12 @@ def _parse_ebn0(text: str) -> list:
             raise ValueError(
                 f"Eb/N0 range {text!r} has more than {MAX_EBN0_POINTS} points"
             )
-        return [start + i * step for i in range(max(math.floor(steps) + 1, 0))]
+        if steps < 0:
+            raise ValueError(f"Eb/N0 range {text!r} has no points: stop is below start")
+        return [start + i * step for i in range(math.floor(steps) + 1)]
     grid = [float(p) for p in text.split(",") if p]
+    if not grid:
+        raise ValueError(f"Eb/N0 list {text!r} has no points")
     if not all(map(math.isfinite, grid)):
         raise ValueError(f"Eb/N0 values must be finite, got {text!r}")
     return grid
@@ -89,7 +80,19 @@ def _meta(**params) -> dict:
     return {"tool": f"productldpc {__version__}", "params": params}
 
 
-@click.group()
+class _OneLineErrors(click.Group):
+    """A command group whose commands report bad input, missing files
+    and missing keys as one ``error:`` line on stderr, with exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError, KeyError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_OneLineErrors)
 @click.version_option(version=__version__)
 def main() -> None:
     """Product LDPC code construction, analysis and simulation."""
@@ -101,7 +104,6 @@ def main() -> None:
 @click.option("--perms", type=click.Path(exists=True), default=None,
               help="permutation-array JSON for an interleaved code")
 @click.option("--out", required=True, type=click.Path(), help="alist output path")
-@_fail_cleanly
 def construct(comp_a, comp_b, perms, out):
     """Assemble a (possibly interleaved) product code parity-check matrix."""
     pc = _build_code(comp_a, comp_b, perms)
@@ -115,7 +117,6 @@ def construct(comp_a, comp_b, perms, out):
 @click.option("--comp-a", required=True)
 @click.option("--comp-b", required=True)
 @click.option("--out", required=True, type=click.Path())
-@_fail_cleanly
 def peg(variant, seed, comp_a, comp_b, out):
     """Design a column-interleaver permutation array."""
     a = parse_component_spec(comp_a)
@@ -135,7 +136,6 @@ def peg(variant, seed, comp_a, comp_b, out):
 @click.option("--in", "alist_path", required=True, type=click.Path(exists=True))
 @click.option("--json", "json_path", type=click.Path(), default=None,
               help="also write the full report as JSON")
-@_fail_cleanly
 def girth(alist_path, json_path):
     """Measure global and per-variable local girth of an alist matrix."""
     report = local_girth(read_alist(alist_path))
@@ -164,7 +164,6 @@ def girth(alist_path, json_path):
               help="confirm the square product construction")
 @click.option("--perms", type=click.Path(exists=True), default=None)
 @click.option("--out", required=True, type=click.Path())
-@_fail_cleanly
 def spectrum(comp, square, perms, out):
     """Exhaustive weight spectrum of a small square product code."""
     pc = _build_code(comp, comp, perms)
@@ -177,7 +176,6 @@ def spectrum(comp, square, perms, out):
 @click.option("--comp", required=True)
 @click.option("--w-max", type=int, default=4, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-@_fail_cleanly
 def mindist(comp, w_max, out):
     """Low-weight spectrum terms of a component code via pair-sum search."""
     code = parse_component_spec(comp)
@@ -200,7 +198,6 @@ def mindist(comp, w_max, out):
 @click.option("--rate", type=float, default=None, help="override k/n")
 @click.option("--ebn0", required=True, help="comma list or start:stop:step in dB")
 @click.option("--out", required=True, type=click.Path())
-@_fail_cleanly
 def bound(spectrum_path, weight, multiplicity, n_opt, k_opt, rate, ebn0, out):
     """Union bound curve from a spectrum file or a single spectrum term."""
     if spectrum_path is not None:
@@ -229,7 +226,6 @@ def bound(spectrum_path, weight, multiplicity, n_opt, k_opt, rate, ebn0, out):
 @click.option("--info", "info_path", required=True, type=click.Path(exists=True),
               help="whitespace-separated information bits, length k")
 @click.option("--out", required=True, type=click.Path())
-@_fail_cleanly
 def encode(comp_a, comp_b, perms, info_path, out):
     """Encode one information block to a codeword."""
     pc = _build_code(comp_a, comp_b, perms)
@@ -251,7 +247,6 @@ def encode(comp_a, comp_b, perms, info_path, out):
               help="whitespace-separated channel LLRs, positive favors bit 0")
 @click.option("--max-iter", type=int, default=100, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-@_fail_cleanly
 def decode(alist_path, llr_path, max_iter, out):
     """Sum-product decode one frame of channel LLRs."""
     H = read_alist(alist_path)
@@ -269,7 +264,6 @@ def decode(alist_path, llr_path, max_iter, out):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
 @click.option("--workers", type=int, default=1, show_default=True)
-@_fail_cleanly
 def simulate(config_path, out, workers):
     """Monte Carlo BER/FER sweep from a JSON config.
 
@@ -283,6 +277,11 @@ def simulate(config_path, out, workers):
         raise ValueError("config must be a JSON object with an ebn0_db list")
     if "uncoded_n" in doc:
         code = IdentityCode(doc["uncoded_n"])
+        mixed = [key for key in ("comp_a", "comp_b", "perms") if key in doc]
+        if mixed:
+            raise ValueError(
+                f"config gives uncoded_n together with {', '.join(mixed)}; give one code"
+            )
     else:
         for key in ("comp_a", "comp_b"):
             if not isinstance(doc.get(key), str):
@@ -290,14 +289,12 @@ def simulate(config_path, out, workers):
         if not isinstance(doc.get("perms"), (str, type(None))):
             raise ValueError("config perms must be a path string or null")
         code = _build_code(doc["comp_a"], doc["comp_b"], doc.get("perms"))
+    sweep_keys = ("max_iter", "min_frame_errors", "max_frames", "seed")
     cfg = SimConfig(
         code=code,
         ebn0_db=doc["ebn0_db"],
-        max_iter=doc.get("max_iter", 100),
-        min_frame_errors=doc.get("min_frame_errors", 50),
-        max_frames=doc.get("max_frames", 100_000),
-        seed=doc.get("seed", 0),
         workers=workers,
+        **{key: doc[key] for key in sweep_keys if key in doc},
     )
     click.echo(f"seed={cfg.seed} workers={workers} code={code.label}")
     result = run_sweep(cfg)

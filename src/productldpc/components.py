@@ -42,25 +42,17 @@ class ComponentCode:
             words[:, k + i] = np.bitwise_xor.reduce(words[:, sup[:-1]], axis=1)
         self._parity_gen = words[:, k:].astype(np.float64)
 
-    def encode_batch(self, info: np.ndarray) -> np.ndarray:
-        """Encode each row of a (count, k) bit array to (count, n)."""
+    def encode(self, info) -> np.ndarray:
+        """Encode info words along the last axis: (..., k) bits to (..., n)."""
         info = np.asarray(info, dtype=np.uint8)
-        if info.ndim != 2 or info.shape[1] != self.k:
-            raise ValueError(f"expected (*, {self.k}) info rows, got {info.shape}")
+        if info.shape[-1:] != (self.k,):
+            raise ValueError(f"expected info words of length k={self.k}, got shape {info.shape}")
         # Exact in float64: no sum exceeds k.
         parity = (info @ self._parity_gen).astype(np.int64) & 1
-        return np.concatenate([info, parity.astype(np.uint8)], axis=1)
+        return np.concatenate([info, parity.astype(np.uint8)], axis=-1)
 
     def __repr__(self) -> str:
         return f"ComponentCode({self.label}: n={self.n}, k={self.k})"
-
-
-def encode_systematic(code: ComponentCode, info) -> np.ndarray:
-    """Systematic codeword for one info vector of length k."""
-    info = np.asarray(info, dtype=np.uint8)
-    if info.shape != (code.k,):
-        raise ValueError(f"info length {info.shape} does not match k={code.k}")
-    return code.encode_batch(info[None, :])[0]
 
 
 def build_spc(k: int) -> ComponentCode:

@@ -73,8 +73,8 @@ class ProductCode:
                 f"info must be {b.k}x{a.k} (or flat length {self.k}), got {info.shape}"
             )
         out = np.zeros(self.n, dtype=np.uint8)
-        out[: b.k * a.n] = a.encode_batch(info).ravel()
-        parity = b.encode_batch(out[self._tracks[: b.k]].T)[:, b.k :]  # (n_a, r_b)
+        out[: b.k * a.n] = a.encode(info).ravel()
+        parity = b.encode(out[self._tracks[: b.k]].T)[:, b.k :]  # (n_a, r_b)
         out[self._tracks[b.k :]] = parity.T
         return out
 

@@ -33,6 +33,9 @@ from .decoder import check_int, spa_decode
 from .gf2 import SparseBinMatrix
 
 CHUNK_FRAMES = 25
+# A process pool starts all its workers on its first submit, so a
+# mistyped worker count must be refused before any pool exists.
+MAX_WORKERS = 64
 
 
 class IdentityCode:
@@ -71,6 +74,8 @@ class SimConfig:
         check_int("max_frames", self.max_frames, 1)
         check_int("seed", self.seed, 0)
         check_int("workers", self.workers, 1)
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be at most {MAX_WORKERS}, got {self.workers}")
         if not len(self.ebn0_db):
             raise ValueError("Eb/N0 grid must be nonempty")
         for e in self.ebn0_db:

@@ -6,11 +6,11 @@ import pytest
 
 from productldpc import (
     ComponentCode,
+    IdentityCode,
     SparseBinMatrix,
     build_hp,
     build_mscmpc,
     build_spc,
-    encode_systematic,
     exhaustive_spectrum,
     low_weight_search,
     union_bound,
@@ -28,7 +28,7 @@ def brute_force_spectrum(code):
     counts = {}
     for word in range(1 << code.k):
         info = np.array([(word >> i) & 1 for i in range(code.k)], dtype=np.uint8)
-        cw = code.encode(info) if hasattr(code, "encode") else encode_systematic(code, info)
+        cw = code.encode(info)
         w = int(cw.sum())
         counts[w] = counts.get(w, 0) + 1
     return counts
@@ -63,6 +63,12 @@ class TestExhaustiveSpectrum:
         assert sum(spec.counts.values()) == 32
         assert spec.counts[4] == 8
         assert spec.counts == brute_force_spectrum(comp5)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 13, 20])
+    def test_uncoded_word_space_gives_binomial_counts(self, n):
+        spec = exhaustive_spectrum(IdentityCode(n))
+        assert spec.counts == {w: math.comb(n, w) for w in range(n + 1)}
+        assert (spec.n, spec.k, spec.complete) == (n, n, True)
 
     def test_guard_rejects_large_k(self):
         big = build_mscmpc(81, [9, 10])

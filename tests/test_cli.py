@@ -1,10 +1,12 @@
 import json
 import tracemalloc
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from productldpc import simulate
 from productldpc.cli import main
 
 
@@ -16,6 +18,23 @@ def runner():
 def test_unknown_subcommand_exits_2(runner):
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("exc, line", [
+    (ValueError("bad input"), "error: bad input"),
+    (OSError("no such file"), "error: no such file"),
+    (KeyError("n"), "error: 'n'"),
+], ids=["value", "os", "key"])
+def test_any_command_reports_errors_on_one_line(runner, monkeypatch, exc, line):
+    # A command added to the group gets the same boundary as the built-in ones.
+    @click.command()
+    def fail():
+        raise exc
+
+    monkeypatch.setitem(main.commands, "fail", fail)
+    result = runner.invoke(main, ["fail"])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.strip() == line
 
 
 def test_bad_component_spec_exits_1(runner, tmp_path):
@@ -191,7 +210,11 @@ def test_bound_rejects_misshapen_spectrum_file(runner, tmp_path, doc):
      "spectrum k must be an integer, got True"),
     ('{"n": 144, "k": 25, "complete": false, "counts": {"16.5": 64}}',
      "spectrum weight '16.5' is not an integer"),
-], ids=["n-float", "count-float", "complete-string", "k-bool", "weight-float"])
+    ('{"k": 25, "complete": false, "counts": {"16": 64}}', "spectrum entry 'n' is missing"),
+    ('{"n": 144, "complete": false, "counts": {"16": 64}}', "spectrum entry 'k' is missing"),
+    ('{"n": 144, "k": 25, "counts": {"16": 64}}', "spectrum entry 'complete' is missing"),
+], ids=["n-float", "count-float", "complete-string", "k-bool", "weight-float",
+        "n-missing", "k-missing", "complete-missing"])
 def test_bound_rejects_non_integer_spectrum_entries(runner, tmp_path, doc, message):
     spec = tmp_path / "spec.json"
     spec.write_text(doc)
@@ -252,6 +275,20 @@ def test_bound_rejects_oversized_ebn0_range_before_building_it(runner, tmp_path,
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert out.startswith("error:") and "100000 points" in out and "\n" not in out
     assert peak < 1 << 20  # the grid was never built
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("ebn0", ["2:1:0.5", "1e308:-1e308:1", ",", ""],
+                         ids=["stop-below-start", "stop-far-below-start", "comma", "blank"])
+def test_bound_rejects_empty_ebn0_grid(runner, tmp_path, ebn0):
+    result = runner.invoke(
+        main,
+        ["bound", "--weight", "4", "--multiplicity", "3", "--n", "9", "--k", "4",
+         "--ebn0", ebn0, "--out", str(tmp_path / "x.csv")],
+    )
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out.startswith("error:") and "has no points" in out and "\n" not in out
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -417,8 +454,15 @@ def test_simulate_rejects_non_integer_config_before_starting(runner, tmp_path, k
     ('{"comp_b": "spc:3", "ebn0_db": [2.0]}', "comp_a must be"),
     ('{"comp_a": "spc:3", "comp_b": "spc:3", "perms": 7, "ebn0_db": [2.0]}', "perms must be"),
     ('{"comp_a": "spc:3", "comp_b": "spc:3", "perms": true, "ebn0_db": [2.0]}', "perms must be"),
+    ('{"uncoded_n": 4, "comp_a": "spc:3", "ebn0_db": [2.0]}',
+     "uncoded_n together with comp_a; give one code"),
+    ('{"uncoded_n": 4, "perms": null, "ebn0_db": [2.0]}',
+     "uncoded_n together with perms; give one code"),
+    ('{"uncoded_n": 4, "comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [2.0]}',
+     "uncoded_n together with comp_a, comp_b; give one code"),
 ], ids=["scalar-grid", "top-level-array", "string", "nan", "infinity", "bool",
-        "int-comp-a", "list-comp-b", "missing-comp-a", "int-perms", "bool-perms"])
+        "int-comp-a", "list-comp-b", "missing-comp-a", "int-perms", "bool-perms",
+        "uncoded-with-comp-a", "uncoded-with-perms", "uncoded-with-both"])
 def test_simulate_rejects_bad_config_shape_before_starting(runner, tmp_path, text, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -442,4 +486,26 @@ def test_simulate_rejects_workers_below_one(runner, tmp_path, workers):
     )
     assert result.exit_code == 1
     assert result.output.strip() == f"error: workers must be at least 1, got {workers}"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_simulate_rejects_workers_above_cap(runner, tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    # Should the cap check ever be lost, the sweep fails here instead of
+    # starting a pool of that many processes.
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+    cfg = {"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [2.0], "max_frames": 100}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    workers = simulate.MAX_WORKERS + 1
+    result = runner.invoke(
+        main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"),
+               "--workers", str(workers)]
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.strip() == (
+        f"error: workers must be at most {simulate.MAX_WORKERS}, got {workers}"
+    )
     assert not (tmp_path / "r.csv").exists()

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from productldpc import (
+    ComponentCode,
+    SparseBinMatrix,
     build_mscmpc,
     build_spc,
-    encode_systematic,
     local_girth,
     parse_component_spec,
     rank_gf2,
@@ -35,8 +38,8 @@ class TestSpc:
 
     def test_even_parity_encoding(self):
         code = build_spc(3)
-        assert np.array_equal(encode_systematic(code, [1, 0, 1]), [1, 0, 1, 0])
-        assert np.array_equal(encode_systematic(code, [1, 1, 0]), [1, 1, 0, 0])
+        assert np.array_equal(code.encode([1, 0, 1]), [1, 0, 1, 0])
+        assert np.array_equal(code.encode([1, 1, 0]), [1, 1, 0, 0])
 
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
@@ -90,23 +93,23 @@ class TestMscmpc:
 
 class TestEncoding:
     def test_zero_maps_to_zero(self, comp5):
-        assert not encode_systematic(comp5, np.zeros(5, dtype=np.uint8)).any()
+        assert not comp5.encode(np.zeros(5, dtype=np.uint8)).any()
 
     def test_systematic_prefix(self, comp5, rng):
         info = rng.integers(0, 2, 5, dtype=np.uint8)
-        assert np.array_equal(encode_systematic(comp5, info)[:5], info)
+        assert np.array_equal(comp5.encode(info)[:5], info)
 
     def test_all_32_codewords_satisfy_h(self, comp5):
         for word in range(32):
             info = np.array([(word >> i) & 1 for i in range(5)], dtype=np.uint8)
-            cw = encode_systematic(comp5, info)
+            cw = comp5.encode(info)
             assert not syndrome(comp5.H, cw).any()
 
     def test_batch_matches_single(self, comp5, rng):
         infos = rng.integers(0, 2, (8, 5), dtype=np.uint8)
-        batch = comp5.encode_batch(infos)
+        batch = comp5.encode(infos)
         for row, info in zip(batch, infos):
-            assert np.array_equal(row, encode_systematic(comp5, info))
+            assert np.array_equal(row, comp5.encode(info))
 
     @pytest.mark.parametrize("spec", [
         "spc:1", "spc:3", "spc:300", "mscmpc:5:3,4", "mscmpc:81:9,10", "mscmpc:169:13,14",
@@ -120,17 +123,47 @@ class TestEncoding:
             np.eye(code.k, dtype=np.uint8),
             rng.integers(0, 2, (40, code.k), dtype=np.uint8),
         ])
-        batch = code.encode_batch(infos)
+        batch = code.encode(infos)
         assert batch.dtype == np.uint8
         assert np.array_equal(batch, reference_encode(code, infos))
         assert not syndrome(code.H, batch[0]).any()
 
     def test_empty_batch(self, comp5):
-        assert comp5.encode_batch(np.zeros((0, 5), dtype=np.uint8)).shape == (0, 12)
+        assert comp5.encode(np.zeros((0, 5), dtype=np.uint8)).shape == (0, 12)
 
     def test_length_mismatch_rejected(self, comp5):
         with pytest.raises(ValueError):
-            encode_systematic(comp5, np.zeros(4, dtype=np.uint8))
+            comp5.encode(np.zeros(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 2, 6), (5, 3)])
+    def test_last_axis_other_than_k_rejected(self, comp5, shape):
+        with pytest.raises(ValueError, match=rf"length k=5, got shape \({', '.join(map(str, shape))}"):
+            comp5.encode(np.zeros(shape, dtype=np.uint8))
+
+
+@st.composite
+def _code_and_words(draw):
+    """A random triangular (k + r, k) code and a (F1, F2, k) block of info words."""
+    k = draw(st.integers(1, 10))
+    r = draw(st.integers(1, 5))
+    support = []
+    for i in range(r):
+        left = draw(st.lists(st.booleans(), min_size=k + i, max_size=k + i))
+        support.append(np.append(np.flatnonzero(left), k + i))
+    code = ComponentCode(k + r, k, SparseBinMatrix(r, k + r, support), f"random:{k}:{r}")
+    f1, f2 = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    bits = draw(st.lists(st.booleans(), min_size=f1 * f2 * k, max_size=f1 * f2 * k))
+    return code, np.array(bits, dtype=np.uint8).reshape(f1, f2, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_code_and_words())
+def test_encode_maps_the_last_axis_like_back_substitution_word_by_word(case):
+    code, info = case
+    got = code.encode(info)
+    assert got.shape == info.shape[:-1] + (code.n,) and got.dtype == np.uint8
+    for index in np.ndindex(info.shape[:-1]):
+        assert np.array_equal(got[index], reference_encode(code, info[index][None, :])[0])
 
 
 class TestParse:

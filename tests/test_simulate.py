@@ -9,6 +9,7 @@ from productldpc import build_hp, build_spc
 from productldpc.analysis import qfunc
 from productldpc.simulate import (
     CHUNK_FRAMES,
+    MAX_WORKERS,
     IdentityCode,
     SimConfig,
     SimPoint,
@@ -58,6 +59,12 @@ class TestConfigValidation:
     def test_rejects_bad_integer_field(self, tiny_pc, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(code=tiny_pc, ebn0_db=[1.0], **{field: value})
+
+    def test_rejects_workers_above_cap(self, tiny_pc):
+        # Only constructs the config: no pool is started at any count.
+        SimConfig(code=tiny_pc, ebn0_db=[1.0], workers=MAX_WORKERS)
+        with pytest.raises(ValueError, match=f"at most {MAX_WORKERS}, got {MAX_WORKERS + 1}"):
+            SimConfig(code=tiny_pc, ebn0_db=[1.0], workers=MAX_WORKERS + 1)
 
     def test_rejects_frame_cap_below_target(self, tiny_pc):
         with pytest.raises(ValueError):

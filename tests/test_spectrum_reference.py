@@ -7,8 +7,6 @@ int and weighs it with ``int.bit_count``.  Python ints never wrap, so
 the reference is exact for any n; the kernel must give the same counts.
 """
 
-from functools import partial
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +17,6 @@ from productldpc import (
     build_hp,
     build_hp_interleaved,
     design_generic,
-    encode_systematic,
     exhaustive_spectrum,
 )
 from productldpc.analysis import WeightSpectrum
@@ -37,7 +34,7 @@ def _generator_words(code) -> list[int]:
     if isinstance(code, ProductCode):
         encode = code.encode
     elif isinstance(code, ComponentCode):
-        encode = partial(encode_systematic, code)
+        encode = code.encode
     else:
         raise TypeError(f"cannot enumerate {type(code).__name__}")
     return [_pack_bits(encode(unit)) for unit in np.eye(code.k, dtype=np.uint8)]
