@@ -71,4 +71,6 @@ def read_alist(path) -> SparseBinMatrix:
         nz = sorted(v - 1 for v in vals if v != 0)
         if nz != entries_by_row[r] or len(nz) != row_deg[r]:
             raise ValueError(f"row {r}: row and column index lists disagree")
+    if pos != len(tokens):
+        raise ValueError(f"{len(tokens) - pos} trailing tokens after the row lists")
     return SparseBinMatrix(rows, cols, entries_by_row)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .components import ComponentCode
-from .decoder import check_int
+from .gf2 import check_int
 
 EXHAUSTIVE_K_LIMIT = 28
 # (high, low) pairs weighed per block: fixes the block buffers at a few MB.

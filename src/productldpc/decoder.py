@@ -21,12 +21,11 @@ index.  Decisions are therefore reproducible bit for bit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import SparseBinMatrix
+from .gf2 import SparseBinMatrix, check_int
 
 CLAMP_LLR = 30.0
 _MIN_MAG = 1e-12
@@ -37,14 +36,6 @@ class DecodeResult:
     hard_bits: np.ndarray
     iterations_used: int
     converged: bool
-
-
-def check_int(name: str, value, minimum: int) -> None:
-    """Reject a count that is a bool, not an integer, or below `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 class _EdgePlan:
@@ -63,7 +54,6 @@ class _EdgePlan:
         indptr, indices = H.indptr, H.indices
         deg = np.diff(indptr)
         degrees = np.unique(deg[deg > 0])
-        self.n = H.cols
         self.shapes = [(int(d), int(np.count_nonzero(deg == d))) for d in degrees]
         # CSR position (check-sorted edge index) of each flat edge.
         csr_pos = np.concatenate(
@@ -72,17 +62,16 @@ class _EdgePlan:
         )
         self.n_edges = e = csr_pos.size
         self.var = indices[csr_pos].astype(np.intp)
-        # Flat edges grouped by variable; the stable sort keeps each
-        # variable's edges in CSR order, which is ascending check order.
         flat_of = np.empty(e, dtype=np.intp)
         flat_of[csr_pos] = np.arange(e)
-        by_var = flat_of[np.argsort(indices, kind="stable")]
-        var_deg = np.bincount(indices, minlength=self.n)
-        first = np.cumsum(var_deg) - var_deg
-        self.var_edges = np.full((var_deg.max(initial=0), self.n), e, dtype=np.intp)
-        for k, row in enumerate(self.var_edges):
-            has_k = np.flatnonzero(var_deg > k)
-            row[has_k] = by_var[first[has_k] + k]
+        # CSR positions grouped by variable; the stable sort keeps each
+        # variable's edges in CSR order, which is ascending check order,
+        # and an edge's rank is its place in its variable's group.
+        by_var = np.argsort(indices, kind="stable")
+        var_deg = np.bincount(indices, minlength=H.cols)
+        rank = np.arange(e) - np.repeat(np.cumsum(var_deg) - var_deg, var_deg)
+        self.var_edges = np.full((var_deg.max(initial=0), H.cols), e, dtype=np.intp)
+        self.var_edges[rank, indices[by_var]] = flat_of[by_var]
 
 
 _last_plan: tuple = (None, None)
@@ -159,8 +148,7 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
     c2v = c2v_pad[:e]
     neg = np.empty(e, dtype=bool)
     flip = np.empty(e, dtype=bool)
-    post = np.empty(plan.n)
-    term = np.empty(plan.n)
+    terms = np.empty(plan.var_edges.shape)  # each variable's incoming c2v
     buckets = []
     start = 0
     for d, c in plan.shapes:
@@ -168,9 +156,11 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
         buckets.append(tuple(a[block].reshape(d, c) for a in (beta, excl, neg, flip)))
         start += d * c
 
+    # The plan's indices are in range by construction; mode="clip" lets
+    # np.take write straight into `out`, which the default mode buffers.
     posterior = llr
     for it in range(max_iter + 1):
-        np.take(posterior, plan.var, out=v2c)
+        np.take(posterior, plan.var, out=v2c, mode="clip")
         if it:
             # After `it` iterations, the gather that opens the next one
             # doubles as the syndrome check of the current decision.
@@ -180,10 +170,9 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
             if it == max_iter:
                 break
         np.subtract(v2c, c2v, out=v2c)
-        np.clip(v2c, -CLAMP_LLR, CLAMP_LLR, out=v2c)
         np.less(v2c, 0.0, out=neg)
         np.abs(v2c, out=beta)
-        np.maximum(beta, _MIN_MAG, out=beta)
+        np.clip(beta, _MIN_MAG, CLAMP_LLR, out=beta)
         _log_tanh_half(beta)
         for b_b, x_b, n_b, f_b in buckets:
             # phi-sum of the other edges: sum(phi) - phi = beta - sum(beta).
@@ -196,8 +185,9 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
         c2v -= 1.0  # minus the sign of each outgoing message
         c2v *= excl
         # The previous posterior was consumed by this iteration's gather.
-        posterior = np.take(c2v_pad, plan.var_edges[0], out=post)
-        for row in plan.var_edges[1:]:
-            posterior += np.take(c2v_pad, row, out=term)
+        np.take(c2v_pad, plan.var_edges, out=terms, mode="clip")
+        posterior = terms[0]
+        for row in terms[1:]:
+            posterior += row
         posterior += llr
     return DecodeResult((posterior < 0).astype(np.uint8), max_iter, False)

@@ -5,13 +5,26 @@ row i's nonzero columns are ``indices[indptr[i]:indptr[i + 1]]``, in
 strictly increasing order.  Bit vectors cross the module boundary as
 0/1 integer arrays; any packed representation used internally (e.g.
 for rank elimination) stays internal.
+
+The module imports nothing from the package, so it is also the home of
+``check_int``, the count check that every layer applies to its inputs.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _IDX = np.int32
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Reject a count that is a bool, not an integer, or below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 def _row_ids(indptr: np.ndarray) -> np.ndarray:

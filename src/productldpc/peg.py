@@ -46,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import ComponentCode
-from .decoder import check_int
-from .gf2 import PermutationArray, SparseBinMatrix
+from .gf2 import PermutationArray, SparseBinMatrix, check_int
 from .product import build_hp
 
 

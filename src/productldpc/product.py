@@ -20,8 +20,7 @@ import json
 import numpy as np
 
 from .components import ComponentCode
-from .decoder import check_int
-from .gf2 import PermutationArray, SparseBinMatrix, kron, vec_kron, vstack
+from .gf2 import PermutationArray, SparseBinMatrix, check_int, kron, vec_kron, vstack
 
 
 class ProductCode:

@@ -29,8 +29,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .decoder import check_int, spa_decode
-from .gf2 import SparseBinMatrix
+from .decoder import spa_decode
+from .gf2 import SparseBinMatrix, check_int
 
 CHUNK_FRAMES = 25
 # A process pool starts all its workers on its first submit, so a
@@ -58,6 +58,17 @@ class IdentityCode:
         return info
 
 
+def _noise_variance(rate: float, ebn0_db: float) -> float:
+    """Per-sample AWGN variance of BPSK at `ebn0_db` for a code of `rate`:
+    0 or inf where Eb/N0 as a power ratio leaves the float range."""
+    try:
+        return 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
+    except OverflowError:
+        return 0.0
+    except ZeroDivisionError:
+        return math.inf
+
+
 @dataclass
 class SimConfig:
     code: object
@@ -81,6 +92,11 @@ class SimConfig:
         for e in self.ebn0_db:
             if isinstance(e, bool) or not isinstance(e, numbers.Real) or not math.isfinite(e):
                 raise ValueError(f"ebn0_db entries must be finite numbers, got {e!r}")
+            sigma2 = _noise_variance(self.code.k / self.code.n, e)
+            if not (0.0 < sigma2 < math.inf and 2.0 / sigma2 < math.inf):
+                raise ValueError(
+                    f"ebn0_db entry {e!r} is out of range: noise variance {sigma2!r}"
+                )
         if self.max_frames < self.min_frame_errors:
             raise ValueError("max_frames must be at least min_frame_errors")
 
@@ -109,8 +125,7 @@ def _run_chunk(code, ebn0_db: float, n_frames: int, seed, point_idx: int,
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(point_idx, chunk_idx))
     )
-    rate = code.k / code.n
-    sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
+    sigma2 = _noise_variance(code.k / code.n, ebn0_db)
     sigma = np.sqrt(sigma2)
     info_pos = code.info_positions()
     bit_errors = 0

@@ -509,3 +509,26 @@ def test_simulate_rejects_workers_above_cap(runner, tmp_path, monkeypatch):
         f"error: workers must be at most {simulate.MAX_WORKERS}, got {workers}"
     )
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("ebn0", [-1e308, 4000])
+def test_simulate_rejects_ebn0_outside_the_float_range(runner, tmp_path, ebn0):
+    # -1e308 dB makes Eb/N0 underflow to 0 and 4000 dB overflows it.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"uncoded_n": 4, "ebn0_db": [1.0, ebn0]}))
+    result = runner.invoke(
+        main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]
+    )
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out.startswith(f"error: ebn0_db entry {ebn0!r} is out of range") and "\n" not in out
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_girth_rejects_trailing_alist_tokens(runner, tmp_path):
+    path = tmp_path / "h.alist"
+    path.write_text("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n9 9 9\n")
+    result = runner.invoke(main, ["girth", "--in", str(path)])
+    out = result.output.strip()
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert out == "error: 3 trailing tokens after the row lists"

@@ -11,6 +11,8 @@ from productldpc import (
     spa_decode,
     syndrome,
 )
+from productldpc.decoder import _EdgePlan
+from test_decoder_reference import reference_spa_decode
 
 
 def bpsk_llr(codeword, magnitude):
@@ -208,3 +210,49 @@ class TestDegenerate:
         res = spa_decode(pc144.H, np.full(pc144.n, 1e9))
         assert res.converged
         assert not res.hard_bits.any()
+
+
+@st.composite
+def _sparse_h(draw):
+    """H with column weights 0 to 6, so empty rows and columns occur."""
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 12))
+    col_checks = [draw(st.sets(st.integers(0, m - 1), max_size=min(6, m))) for _ in range(n)]
+    return SparseBinMatrix(m, n, [[v for v in range(n) if c in col_checks[v]]
+                                  for c in range(m)])
+
+
+def _brute_force_var_edges(H: SparseBinMatrix):
+    """The plan's flat edge numbering written out check by check, and
+    each variable's flat edges in ascending check order, padded with
+    the edge count."""
+    support = [list(map(int, s)) for s in H.row_support]
+    flat = {}
+    offset = 0
+    for d in sorted({len(s) for s in support} - {0}):
+        bucket = [c for c, s in enumerate(support) if len(s) == d]
+        for j, c in enumerate(bucket):
+            for pos, v in enumerate(support[c]):
+                flat[c, v] = offset + pos * len(bucket) + j
+        offset += d * len(bucket)
+    per_var = [[flat[c, v] for c in range(H.rows) if (c, v) in flat] for v in range(H.cols)]
+    width = max(map(len, per_var))
+    padded = [edges + [offset] * (width - len(edges)) for edges in per_var]
+    return np.array(padded, dtype=np.int64).reshape(H.cols, width).T, offset
+
+
+class TestEdgePlan:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_sparse_h(), st.integers(0, 2**32 - 1))
+    def test_var_edges_against_brute_force(self, H, seed):
+        plan = _EdgePlan(H)
+        var_edges, n_edges = _brute_force_var_edges(H)
+        assert plan.n_edges == n_edges
+        assert np.array_equal(plan.var_edges, var_edges)
+        real = var_edges < n_edges
+        assert np.array_equal(plan.var[var_edges[real]], np.nonzero(real)[1])
+        llr = np.random.default_rng(seed).normal(0.0, 2.0, H.cols)
+        res = spa_decode(H, llr, max_iter=20)
+        ref = reference_spa_decode(H, llr, 20)
+        assert (res.iterations_used, res.converged) == (ref.iterations_used, ref.converged)
+        assert np.array_equal(res.hard_bits, ref.hard_bits)
