@@ -2,16 +2,19 @@
 
 Each subcommand is a thin adapter over one library operation: it parses
 and validates flags, calls the operation and writes the declared
-outputs.  The command group turns any failure into a one-line
-diagnostic and a nonzero exit.  No numerics live here.
+outputs.  Flags are checked before any work starts, down to the
+directory of every output path.  The command group turns any failure
+into a one-line diagnostic and a nonzero exit.  No numerics live here.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
+from dataclasses import fields
 
 import click
 import numpy as np
@@ -82,14 +85,29 @@ def _meta(**params) -> dict:
 
 class _OneLineErrors(click.Group):
     """A command group whose commands report bad input, missing files
-    and missing keys as one ``error:`` line on stderr, with exit status 1."""
+    and missing keys as one ``error:`` line on stderr, with exit status 1,
+    and bad flags the same way, with click's exit status 2."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            click.echo(f"error: {exc.format_message()}", err=True)
+            sys.exit(exc.exit_code)
         except (ValueError, OSError, KeyError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
+
+
+class _OutputPath(click.Path):
+    """A file to write, in a directory that already exists."""
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            self.fail(f"directory {folder!r} does not exist", param, ctx)
+        return path
 
 
 @click.group(cls=_OneLineErrors)
@@ -103,7 +121,7 @@ def main() -> None:
 @click.option("--comp-b", required=True, help="column component")
 @click.option("--perms", type=click.Path(exists=True), default=None,
               help="permutation-array JSON for an interleaved code")
-@click.option("--out", required=True, type=click.Path(), help="alist output path")
+@click.option("--out", required=True, type=_OutputPath(), help="alist output path")
 def construct(comp_a, comp_b, perms, out):
     """Assemble a (possibly interleaved) product code parity-check matrix."""
     pc = _build_code(comp_a, comp_b, perms)
@@ -116,7 +134,7 @@ def construct(comp_a, comp_b, perms, out):
 @click.option("--seed", type=int, required=True)
 @click.option("--comp-a", required=True)
 @click.option("--comp-b", required=True)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_OutputPath())
 def peg(variant, seed, comp_a, comp_b, out):
     """Design a column-interleaver permutation array."""
     a = parse_component_spec(comp_a)
@@ -134,7 +152,7 @@ def peg(variant, seed, comp_a, comp_b, out):
 
 @main.command()
 @click.option("--in", "alist_path", required=True, type=click.Path(exists=True))
-@click.option("--json", "json_path", type=click.Path(), default=None,
+@click.option("--json", "json_path", type=_OutputPath(), default=None,
               help="also write the full report as JSON")
 def girth(alist_path, json_path):
     """Measure global and per-variable local girth of an alist matrix."""
@@ -163,7 +181,7 @@ def girth(alist_path, json_path):
 @click.option("--square", is_flag=True, required=True,
               help="confirm the square product construction")
 @click.option("--perms", type=click.Path(exists=True), default=None)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_OutputPath())
 def spectrum(comp, square, perms, out):
     """Exhaustive weight spectrum of a small square product code."""
     pc = _build_code(comp, comp, perms)
@@ -175,7 +193,7 @@ def spectrum(comp, square, perms, out):
 @main.command()
 @click.option("--comp", required=True)
 @click.option("--w-max", type=int, default=4, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=_OutputPath(), default=None)
 def mindist(comp, w_max, out):
     """Low-weight spectrum terms of a component code via pair-sum search."""
     code = parse_component_spec(comp)
@@ -197,7 +215,7 @@ def mindist(comp, w_max, out):
 @click.option("--k", "k_opt", type=int, default=None, help="code dimension (single-term)")
 @click.option("--rate", type=float, default=None, help="override k/n")
 @click.option("--ebn0", required=True, help="comma list or start:stop:step in dB")
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_OutputPath())
 def bound(spectrum_path, weight, multiplicity, n_opt, k_opt, rate, ebn0, out):
     """Union bound curve from a spectrum file or a single spectrum term."""
     if spectrum_path is not None:
@@ -225,7 +243,7 @@ def bound(spectrum_path, weight, multiplicity, n_opt, k_opt, rate, ebn0, out):
 @click.option("--perms", type=click.Path(exists=True), default=None)
 @click.option("--info", "info_path", required=True, type=click.Path(exists=True),
               help="whitespace-separated information bits, length k")
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_OutputPath())
 def encode(comp_a, comp_b, perms, info_path, out):
     """Encode one information block to a codeword."""
     pc = _build_code(comp_a, comp_b, perms)
@@ -246,7 +264,7 @@ def encode(comp_a, comp_b, perms, info_path, out):
 @click.option("--llr", "llr_path", required=True, type=click.Path(exists=True),
               help="whitespace-separated channel LLRs, positive favors bit 0")
 @click.option("--max-iter", type=int, default=100, show_default=True)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_OutputPath())
 def decode(alist_path, llr_path, max_iter, out):
     """Sum-product decode one frame of channel LLRs."""
     H = read_alist(alist_path)
@@ -262,7 +280,7 @@ def decode(alist_path, llr_path, max_iter, out):
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_OutputPath())
 @click.option("--workers", type=int, default=1, show_default=True)
 def simulate(config_path, out, workers):
     """Monte Carlo BER/FER sweep from a JSON config.
@@ -275,6 +293,12 @@ def simulate(config_path, out, workers):
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("ebn0_db"), list):
         raise ValueError("config must be a JSON object with an ebn0_db list")
+    sweep_keys = {f.name for f in fields(SimConfig)} - {"code", "ebn0_db", "workers"}
+    known = sorted(sweep_keys | {"comp_a", "comp_b", "perms", "uncoded_n", "ebn0_db"})
+    unknown = sorted(doc.keys() - set(known))
+    if unknown:
+        raise ValueError(f"config has unknown keys {', '.join(unknown)}; "
+                         f"known keys are {', '.join(known)}")
     if "uncoded_n" in doc:
         code = IdentityCode(doc["uncoded_n"])
         mixed = [key for key in ("comp_a", "comp_b", "perms") if key in doc]
@@ -289,7 +313,6 @@ def simulate(config_path, out, workers):
         if not isinstance(doc.get("perms"), (str, type(None))):
             raise ValueError("config perms must be a path string or null")
         code = _build_code(doc["comp_a"], doc["comp_b"], doc.get("perms"))
-    sweep_keys = ("max_iter", "min_frame_errors", "max_frames", "seed")
     cfg = SimConfig(
         code=code,
         ebn0_db=doc["ebn0_db"],

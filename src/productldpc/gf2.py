@@ -140,9 +140,6 @@ class SparseBinMatrix:
             and np.array_equal(self.indices, other.indices)
         )
 
-    def __hash__(self):
-        return id(self)
-
     def __repr__(self) -> str:
         return f"SparseBinMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
@@ -280,9 +277,6 @@ class PermutationArray:
             and len(self.perms) == len(other.perms)
             and all(np.array_equal(a, b) for a, b in zip(self.perms, other.perms))
         )
-
-    def __hash__(self):
-        return id(self)
 
     def to_matrix(self) -> SparseBinMatrix:
         """Concatenation [P_1 | P_2 | ... ]: n_a rows, n_a*len(self) columns.

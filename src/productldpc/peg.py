@@ -363,11 +363,9 @@ def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> P
                     quality(targets, sources[first : first + _PASS_GROUPS])
                     for first in range(0, n_a, _PASS_GROUPS)
                 ])
+                # Entry (u, s) scores row u under shift s.
                 rows = np.arange(n_a)
-                shift_qual = np.array(
-                    [qual[rows, (rows + s) % n_a].min() for s in range(n_a)]
-                )
-                shift = pick_max(shift_qual)
+                shift = pick_max(qual[rows[:, None], (rows[:, None] + rows) % n_a].min(axis=0))
             perm = (np.arange(n_a) + shift) % n_a
             for u in range(n_a):
                 commit(j * n_a + int(perm[u]), sources[u])

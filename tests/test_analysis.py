@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from productldpc import (
     ComponentCode,
@@ -110,6 +112,34 @@ class TestLowWeightSearch:
             low_weight_search(comp5, 0)
 
 
+@st.composite
+def _triangular_with_zero_and_equal_columns(draw):
+    """A triangular component whose information column 0 is zero and
+    whose information columns 1 and 2 are equal, with a w_max."""
+    k = draw(st.integers(3, 9))
+    r = draw(st.integers(1, 5))
+    info_cols = draw(st.lists(st.integers(0, (1 << r) - 1), min_size=k, max_size=k))
+    info_cols[0] = 0
+    info_cols[2] = info_cols[1]
+    support = []
+    for i in range(r):
+        parity = draw(st.lists(st.booleans(), min_size=i, max_size=i))
+        support.append([c for c in range(k) if info_cols[c] >> i & 1]
+                       + [k + j for j in range(i) if parity[j]] + [k + i])
+    code = ComponentCode(k + r, k, SparseBinMatrix(r, k + r, support), "forced")
+    return code, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_triangular_with_zero_and_equal_columns())
+def test_low_weight_search_matches_exhaustive_prefix(case):
+    code, w_max = case
+    full = exhaustive_spectrum(code).counts
+    assert low_weight_search(code, w_max).counts == {
+        w: c for w, c in full.items() if w <= w_max
+    }
+
+
 class TestUnionBound:
     def test_rejects_spectrum_without_positive_terms(self):
         spec = WeightSpectrum(n=10, k=2, counts={0: 1})
@@ -153,6 +183,12 @@ class TestUnionBound:
         spec = WeightSpectrum(n=16, k=9, counts={4: 36})
         with pytest.raises(ValueError, match="rate must be finite"):
             union_bound(spec, rate, [1.0])
+
+    @pytest.mark.parametrize("counts", [{16: 10**400}, {4: 3, 16: 10**400}])
+    def test_rejects_count_past_the_float_range(self, counts):
+        spec = WeightSpectrum(n=10000, k=6561, counts=counts)
+        with pytest.raises(ValueError, match="A_16 is past the float range"):
+            union_bound(spec, 0.6561, [1.0])
 
     def test_rate_one_accepted(self):
         spec = WeightSpectrum(n=16, k=9, counts={4: 36})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from productldpc import simulate
+from productldpc import cli, simulate
 from productldpc.cli import main
 
 
@@ -532,3 +532,84 @@ def test_girth_rejects_trailing_alist_tokens(runner, tmp_path):
     out = result.output.strip()
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert out == "error: 3 trailing tokens after the row lists"
+
+
+def test_simulate_rejects_unknown_config_keys(runner, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"uncoded_n": 4, "ebn0_db": [3.0], "max_frame": 50,
+                                    "min_frame_errors": 1, "seeed": 5}))
+    result = runner.invoke(
+        main, ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.strip() == (
+        "error: config has unknown keys max_frame, seeed; known keys are comp_a, comp_b, "
+        "ebn0_db, max_frames, max_iter, min_frame_errors, perms, seed, uncoded_n"
+    )
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_simulate_checks_the_output_directory_before_starting(runner, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"uncoded_n": 4, "ebn0_db": [3.0], "max_frames": 10}))
+    out = tmp_path / "missing" / "r.csv"
+    result = runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        f"error: Invalid value for '--out': directory {str(out.parent)!r} does not exist"
+    ]
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("args, work", [
+    (["peg", "--variant", "generic", "--seed", "1", "--comp-a", "spc:3", "--comp-b", "spc:3",
+      "--out"], "design_generic"),
+    (["spectrum", "--comp", "spc:3", "--square", "--out"], "exhaustive_spectrum"),
+    (["girth", "--in", "{alist}", "--json"], "local_girth"),
+    (["mindist", "--comp", "spc:3", "--out"], "low_weight_search"),
+], ids=["peg", "spectrum", "girth-json", "mindist"])
+def test_missing_output_directory_is_found_before_any_work(runner, tmp_path, monkeypatch,
+                                                           args, work):
+    def no_work(*a, **k):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, no_work)
+    alist = tmp_path / "h.alist"
+    alist.write_text("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n")
+    out = tmp_path / "missing" / "out.json"
+    argv = [a.format(alist=alist) for a in args] + [str(out)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.output.strip().startswith("error: Invalid value for")
+    assert "\n" not in result.output.strip()
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("args, line", [
+    (["girth", "--in", "missing"],
+     "error: Invalid value for '--in': Path 'missing' does not exist."),
+    (["peg", "--variant", "generic", "--seed", "x", "--comp-a", "spc:3", "--comp-b", "spc:3",
+      "--out", "p.json"], "error: Invalid value for '--seed': 'x' is not a valid integer."),
+    (["mindist"], "error: Missing option '--comp'."),
+], ids=["missing-file", "bad-int", "missing-option"])
+def test_usage_errors_are_one_line_with_exit_2(runner, args, line):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.output.strip() == line
+
+
+@pytest.mark.parametrize("source", ["flags", "file"])
+def test_bound_rejects_count_past_the_float_range(runner, tmp_path, source):
+    if source == "flags":
+        args = ["--weight", "16", "--multiplicity", str(10**400),
+                "--n", "10000", "--k", "6561"]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 10000, "k": 6561, "complete": False,
+                                    "counts": {"16": 10**400}}))
+        args = ["--spectrum", str(spec)]
+    out = tmp_path / "ub.csv"
+    result = runner.invoke(main, ["bound", *args, "--ebn0", "1:2:0.5", "--out", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.strip() == "error: spectrum count A_16 is past the float range"
+    assert not out.exists()

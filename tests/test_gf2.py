@@ -322,3 +322,15 @@ class TestPermutationArray:
         assert len(pa) == 4
         for p in pa.perms:
             assert np.array_equal(np.sort(p), np.arange(9))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SparseBinMatrix(2, 3, [[0], [1, 2]]),
+    lambda: PermutationArray(3, [[1, 2, 0], [0, 1, 2]]),
+], ids=["matrix", "permutations"])
+def test_content_equal_values_are_unhashable(make):
+    # Equal by content, so an identity hash would break hash(a) == hash(b).
+    a, b = make(), make()
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
