@@ -51,6 +51,11 @@ def read_alist(path) -> SparseBinMatrix:
 
     cols, rows = take(2)
     max_col, max_row = take(2)
+    if min(cols, rows, max_col, max_row) < 0:
+        raise ValueError(
+            "alist header sizes cols rows max_col max_row must be nonnegative, "
+            f"got {cols} {rows} {max_col} {max_row}"
+        )
     col_deg = take(cols)
     row_deg = take(rows)
 

@@ -235,10 +235,16 @@ def union_bound(spectrum: WeightSpectrum, rate: float, ebn0_db_list):
     ebn0 = 10.0 ** (ebn0_db / 10.0)
     fer = np.zeros_like(ebn0)
     ber = np.zeros_like(ebn0)
-    for w, c in terms:
-        q = qfunc(np.sqrt(2.0 * rate * w * ebn0))
-        fer += c * q
-        ber += (w / spectrum.n) * c * q
+    with np.errstate(over="ignore"):
+        for w, c in terms:
+            q = qfunc(np.sqrt(2.0 * rate * w * ebn0))
+            fer += c * q
+            ber += (w / spectrum.n) * c * q
+    past = np.flatnonzero(np.isinf(fer) | np.isinf(ber))
+    if past.size:
+        raise ValueError(
+            f"union bound at Eb/N0 = {ebn0_db[past[0]]:g} dB is past the float range"
+        )
     return fer, ber
 
 

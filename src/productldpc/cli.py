@@ -33,12 +33,7 @@ from .analysis import (
 from .components import parse_component_spec
 from .decoder import spa_decode
 from .peg import design_circulant, design_generic, local_girth
-from .product import (
-    build_hp,
-    build_hp_interleaved,
-    load_permutation_array,
-    save_permutation_array,
-)
+from .product import ProductCode, load_permutation_array, save_permutation_array
 from .simulate import IdentityCode, SimConfig, run_sweep, write_sim_csv
 
 
@@ -71,12 +66,9 @@ def _parse_ebn0(text: str) -> list:
     return grid
 
 
-def _build_code(comp_a: str, comp_b: str, perms_path):
-    a = parse_component_spec(comp_a)
-    b = parse_component_spec(comp_b)
-    if perms_path is None:
-        return build_hp(a, b)
-    return build_hp_interleaved(a, b, load_permutation_array(perms_path))
+def _build_code(comp_a: str, comp_b: str, perms_path) -> ProductCode:
+    a, b = parse_component_spec(comp_a), parse_component_spec(comp_b)
+    return ProductCode(a, b, None if perms_path is None else load_permutation_array(perms_path))
 
 
 def _meta(**params) -> dict:
@@ -157,18 +149,17 @@ def peg(variant, seed, comp_a, comp_b, out):
 def girth(alist_path, json_path):
     """Measure global and per-variable local girth of an alist matrix."""
     report = local_girth(read_alist(alist_path))
-    gg = report.global_girth
-    click.echo(f"global_girth={'inf' if math.isinf(gg) else int(gg)}")
-    for length, count in report.histogram.items():
-        name = "inf" if math.isinf(length) else int(length)
+    names = {length: "inf" if math.isinf(length) else str(int(length))
+             for length in [report.global_girth, *report.histogram]}
+    gg = names[report.global_girth]
+    histogram = {names[length]: count for length, count in report.histogram.items()}
+    click.echo(f"global_girth={gg}")
+    for name, count in histogram.items():
         click.echo(f"local_girth[{name}]={count}")
     if json_path:
         doc = {
-            "global_girth": None if math.isinf(gg) else int(gg),
-            "histogram": {
-                ("inf" if math.isinf(k) else str(int(k))): v
-                for k, v in report.histogram.items()
-            },
+            "global_girth": None if gg == "inf" else int(gg),
+            "histogram": histogram,
             "meta": _meta(input=str(alist_path)),
         }
         with open(json_path, "w") as fh:

@@ -65,16 +65,12 @@ def build_spc(k: int) -> ComponentCode:
 
 def _violates_row_column_constraint(H: SparseBinMatrix) -> bool:
     """True if some pair of rows shares more than one column (a 4-cycle)."""
-    seen = set()
-    for rows in H.col_support():
-        rows = rows.tolist()
-        for x in range(len(rows)):
-            for y in range(x + 1, len(rows)):
-                key = (rows[x], rows[y])
-                if key in seen:
-                    return True
-                seen.add(key)
-    return False
+    # Gram entry (x, y) counts the columns rows x and y share; int64
+    # cannot overflow, as no count exceeds H.cols.
+    dense = H.to_dense().astype(np.int64)
+    shared = dense @ dense.T
+    np.fill_diagonal(shared, 0)
+    return bool((shared > 1).any())
 
 
 def build_mscmpc(k: int, r_list) -> ComponentCode:

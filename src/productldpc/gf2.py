@@ -235,10 +235,12 @@ def syndrome(m: SparseBinMatrix, x) -> np.ndarray:
 
 
 class PermutationArray:
-    """A list of same-size permutations, one per block.
+    """Same-size permutations, one per block, held as one table.
 
-    Entries are 0-based internally; 1-based notation appears only in
-    serialized form (see product.save_permutation_array).
+    ``perms`` is a read-only int64 array of shape (blocks, n_a) whose row
+    j is block j's permutation.  Entries are 0-based internally; 1-based
+    notation appears only in serialized form (see
+    product.save_permutation_array).
     """
 
     __slots__ = ("n_a", "perms")
@@ -246,17 +248,23 @@ class PermutationArray:
     def __init__(self, n_a: int, perms) -> None:
         if n_a < 1:
             raise ValueError("block size must be at least 1")
-        self.n_a = int(n_a)
-        self.perms = []
-        for j, p in enumerate(perms):
-            arr = np.asarray(p)
-            if arr.size and arr.dtype.kind not in "iu":
+        self.n_a = n_a = int(n_a)
+        blocks = [np.asarray(p) for p in perms]
+        # A block of the wrong shape or kind enters the table as a row of
+        # -1s, so the one sort below finds every bad block in block order.
+        table = np.array(
+            [b if b.shape == (n_a,) and b.dtype.kind in "iu" else np.full(n_a, -1)
+             for b in blocks],
+            dtype=np.int64,
+        ).reshape(len(blocks), n_a)
+        bad = np.flatnonzero((np.sort(table, axis=1) != np.arange(n_a)).any(axis=1))
+        if bad.size:
+            j = int(bad[0])
+            if blocks[j].size and blocks[j].dtype.kind not in "iu":
                 raise ValueError(f"block {j} entries must be integers")
-            arr = np.asarray(arr, dtype=np.int64)
-            if arr.shape != (n_a,) or np.any(np.bincount(arr, minlength=n_a) != 1):
-                raise ValueError(f"block {j} is not a permutation of 0..{n_a - 1}")
-            arr.flags.writeable = False
-            self.perms.append(arr)
+            raise ValueError(f"block {j} is not a permutation of 0..{n_a - 1}")
+        table.flags.writeable = False
+        self.perms = table
 
     @classmethod
     def identity(cls, n_a: int, n_b: int) -> "PermutationArray":
@@ -272,11 +280,7 @@ class PermutationArray:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PermutationArray):
             return NotImplemented
-        return (
-            self.n_a == other.n_a
-            and len(self.perms) == len(other.perms)
-            and all(np.array_equal(a, b) for a, b in zip(self.perms, other.perms))
-        )
+        return self.n_a == other.n_a and np.array_equal(self.perms, other.perms)
 
     def to_matrix(self) -> SparseBinMatrix:
         """Concatenation [P_1 | P_2 | ... ]: n_a rows, n_a*len(self) columns.
@@ -284,6 +288,5 @@ class PermutationArray:
         Block j has a 1 at (i, perms[j][i]).
         """
         n_a = self.n_a
-        k = np.arange(n_a * len(self.perms))  # entry k: row k % n_a of block k // n_a
-        flat = np.array(self.perms, dtype=np.int64).reshape(-1)
-        return SparseBinMatrix._from_coords(n_a, k.size, k % n_a, k - k % n_a + flat)
+        k = np.arange(self.perms.size)  # entry k: row k % n_a of block k // n_a
+        return SparseBinMatrix._from_coords(n_a, k.size, k % n_a, k - k % n_a + self.perms.ravel())

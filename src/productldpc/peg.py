@@ -301,13 +301,11 @@ def local_girth(H: SparseBinMatrix) -> GirthReport:
         sources = [slots[indptr[v] : indptr[v] + fill[v]] for v in group]
         local[group] = _labelled_bfs(graph, sources, group)[1] + 2
     finite = local[np.isfinite(local)]
-    hist: dict = {}
-    for val in sorted(set(local.tolist())):
-        hist[val] = int(np.sum(local == val))
+    lengths, counts = np.unique(local, return_counts=True)
     return GirthReport(
         global_girth=float(finite.min()) if finite.size else math.inf,
         per_variable_local_girth=local,
-        histogram=hist,
+        histogram=dict(zip(lengths.tolist(), counts.tolist())),
     )
 
 

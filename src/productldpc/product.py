@@ -1,16 +1,16 @@
 """Direct and column-interleaved product code assembly and encoding.
 
-The parity-check matrix stacks a block-diagonal replication of the row
-code's H (one block per information row of the encoding matrix, which
-already yields full rank) on top of the column code's H expanded so
-that its q-th copy touches, in encoding-matrix row m, the bit selected
-by the m-th permutation at index q.  Without an interleaver the
-expansion reduces to a plain Kronecker product with the identity.
+Both codes are built from one table of permutations P_1..P_{n_b}, one
+per encoding-matrix row; the direct code is the one whose every P_j is
+the identity.  The parity-check matrix stacks a block-diagonal
+replication of the row code's H (one block per information row of the
+encoding matrix, which already yields full rank) on top of the column
+code's H expanded so that its q-th copy touches, in encoding-matrix row
+m, the bit selected by P_m at index q.
 
-Both codes share one layout, a track map: bit j of column-code word q
-is codeword bit j*n_a + perm_j[q], with identity permutations for the
-direct code.  The encoder reads and writes the column code's words
-through this map alone.
+The same table gives the layout, a track map: bit j of column-code
+word q is codeword bit j*n_a + P_j[q].  The encoder reads and writes
+the column code's words through this map alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,11 @@ from .gf2 import PermutationArray, SparseBinMatrix, check_int, kron, vec_kron, v
 
 
 class ProductCode:
-    """Two component codes on the rows/columns of an encoding matrix."""
+    """Two component codes on the rows/columns of an encoding matrix.
+
+    `interleaver` is the permutation table, n_b blocks of size n_a; None
+    gives the direct code, whose table is the identity.
+    """
 
     __slots__ = ("comp_a", "comp_b", "interleaver", "H", "n", "k", "_tracks")
 
@@ -32,18 +36,27 @@ class ProductCode:
         self,
         comp_a: ComponentCode,
         comp_b: ComponentCode,
-        interleaver: PermutationArray | None,
-        H: SparseBinMatrix,
+        interleaver: PermutationArray | None = None,
     ) -> None:
-        self.comp_a = comp_a
-        self.comp_b = comp_b
+        a, b = comp_a, comp_b
+        table = PermutationArray.identity(a.n, b.n) if interleaver is None else interleaver
+        if table.n_a != a.n or len(table) != b.n:
+            raise ValueError(
+                f"permutation array must be {b.n} blocks of size {a.n}, "
+                f"got {len(table)} of size {table.n_a}"
+            )
+        self.comp_a = a
+        self.comp_b = b
         self.interleaver = interleaver
-        self.H = H
-        self.n = comp_a.n * comp_b.n
-        self.k = comp_a.k * comp_b.k
-        perms = np.arange(comp_a.n) if interleaver is None else np.stack(interleaver.perms)
+        self.n = a.n * b.n
+        self.k = a.k * b.k
+        # Full replication has one H_a block per encoding-matrix row; dropping
+        # the last r_a*r_b rows (the checks-on-checks blocks) restores full rank.
+        hp1 = kron(SparseBinMatrix.identity(b.n), a.H).take_rows(b.k * a.r)
+        hp2 = vec_kron(b.H, table.to_matrix(), a.n)
+        self.H = vstack([hp1, hp2])
         # Entry (j, q): codeword index of bit j of column-code word q.
-        self._tracks = np.arange(0, self.n, comp_a.n)[:, None] + perms
+        self._tracks = np.arange(0, self.n, a.n)[:, None] + table.perms
 
     @property
     def label(self) -> str:
@@ -78,37 +91,23 @@ class ProductCode:
         return out
 
 
-def _hp1(a: ComponentCode, b: ComponentCode) -> SparseBinMatrix:
-    # Full replication has one H_a block per encoding-matrix row; dropping
-    # the last r_a*r_b rows (the checks-on-checks blocks) restores full rank.
-    full = kron(SparseBinMatrix.identity(b.n), a.H)
-    return full.take_rows(b.k * a.r)
-
-
 def build_hp(a: ComponentCode, b: ComponentCode) -> ProductCode:
     """Direct product code with full-rank parity-check matrix."""
-    hp2 = kron(b.H, SparseBinMatrix.identity(a.n))
-    return ProductCode(a, b, None, vstack([_hp1(a, b), hp2]))
+    return ProductCode(a, b)
 
 
 def build_hp_interleaved(
     a: ComponentCode, b: ComponentCode, perms: PermutationArray
 ) -> ProductCode:
     """Column-interleaved product code for a given permutation array."""
-    if perms.n_a != a.n or len(perms) != b.n:
-        raise ValueError(
-            f"permutation array must be {b.n} blocks of size {a.n}, "
-            f"got {len(perms)} of size {perms.n_a}"
-        )
-    hp2 = vec_kron(b.H, perms.to_matrix(), a.n)
-    return ProductCode(a, b, perms, vstack([_hp1(a, b), hp2]))
+    return ProductCode(a, b, perms)
 
 
 def save_permutation_array(perms: PermutationArray, path, meta: dict | None = None) -> None:
     """Write a permutation array as JSON with 1-based entries."""
     doc = {
         "n_a": perms.n_a,
-        "perms": [(p + 1).tolist() for p in perms.perms],
+        "perms": (perms.perms + 1).tolist(),
     }
     if meta:
         doc["meta"] = meta

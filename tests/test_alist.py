@@ -59,6 +59,19 @@ def test_truncated_file_rejected(tmp_path):
         read_alist(path)
 
 
+@pytest.mark.parametrize("text", [
+    "2 1\n-1 0\n0 0\n0\n",
+    "-2 1\n1 1\n",
+    "2 -1\n1 1\n",
+    "2 1\n1 -3\n1 1\n1\n",
+], ids=["max_col", "cols", "rows", "max_row"])
+def test_negative_header_sizes_rejected(tmp_path, text):
+    path = tmp_path / "bad.alist"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="cols rows max_col max_row must be nonnegative"):
+        read_alist(path)
+
+
 def test_inconsistent_lists_rejected(tmp_path):
     m = SparseBinMatrix(2, 2, [[0], [1]])
     path = tmp_path / "m.alist"

@@ -190,6 +190,12 @@ class TestUnionBound:
         with pytest.raises(ValueError, match="A_16 is past the float range"):
             union_bound(spec, 0.6561, [1.0])
 
+    def test_rejects_bound_past_the_float_range(self):
+        # Every count fits a float, but their sum at -300 dB does not.
+        spec = WeightSpectrum(n=100, k=50, counts={w: 10**308 for w in range(4, 8)})
+        with pytest.raises(ValueError, match=r"Eb/N0 = -300 dB is past the float range"):
+            union_bound(spec, 0.5, [0.0, -300.0])
+
     def test_rate_one_accepted(self):
         spec = WeightSpectrum(n=16, k=9, counts={4: 36})
         fer, ber = union_bound(spec, 1.0, [1.0])

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import click
 import numpy as np
@@ -612,4 +613,19 @@ def test_bound_rejects_count_past_the_float_range(runner, tmp_path, source):
     result = runner.invoke(main, ["bound", *args, "--ebn0", "1:2:0.5", "--out", str(out)])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output.strip() == "error: spectrum count A_16 is past the float range"
+    assert not out.exists()
+
+
+def test_bound_rejects_sum_past_the_float_range(runner, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 100, "k": 50, "complete": False,
+                                "counts": {str(w): 10**308 for w in range(4, 8)}}))
+    out = tmp_path / "ub.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["bound", "--spectrum", str(spec), "--ebn0", "-300,0",
+                                      "--out", str(out)])
+    assert not caught
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.strip() == "error: union bound at Eb/N0 = -300 dB is past the float range"
     assert not out.exists()

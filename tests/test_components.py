@@ -1,8 +1,11 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from productldpc import components
 from productldpc import (
     ComponentCode,
     SparseBinMatrix,
@@ -164,6 +167,48 @@ def test_encode_maps_the_last_axis_like_back_substitution_word_by_word(case):
     assert got.shape == info.shape[:-1] + (code.n,) and got.dtype == np.uint8
     for index in np.ndindex(info.shape[:-1]):
         assert np.array_equal(got[index], reference_encode(code, info[index][None, :])[0])
+
+
+def pair_walk_violates(H):
+    """Reference 4-cycle check: walk each column's row pairs and report
+    the first pair already met in an earlier column."""
+    seen = set()
+    for rows in H.col_support():
+        for pair in combinations(rows.tolist(), 2):
+            if pair in seen:
+                return True
+            seen.add(pair)
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_row_column_check_matches_pair_walk(data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 8))
+    bits = data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    H = SparseBinMatrix.from_dense(np.array(bits, dtype=np.uint8).reshape(rows, cols))
+    assert components._violates_row_column_constraint(H) == pair_walk_violates(H)
+
+
+def test_row_column_check_counts_past_255_shared_columns():
+    # Two rows sharing 256 columns: an 8-bit Gram product would wrap to 0.
+    H = SparseBinMatrix.from_dense(np.ones((2, 256), dtype=np.uint8))
+    assert components._violates_row_column_constraint(H) and pair_walk_violates(H)
+
+
+def test_mscmpc_acceptance_matches_pair_walk(monkeypatch):
+    checked = []
+    check = components._violates_row_column_constraint
+    monkeypatch.setattr(components, "_violates_row_column_constraint",
+                        lambda H: checked.append(H) or check(H))
+    for k in range(1, 61):
+        for stages in permutations(range(2, 13), 2):
+            try:
+                build_mscmpc(k, stages)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted != pair_walk_violates(checked[-1]), (k, stages)
 
 
 class TestParse:

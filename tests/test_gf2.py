@@ -300,6 +300,26 @@ class TestPermutationArray:
         with pytest.raises(ValueError, match="integers"):
             PermutationArray(3, [perm])
 
+    @pytest.mark.parametrize("perms, message", [
+        ([[0, 1, 2], [0, 0, 2], [0.5, 1, 2], [0, 1]], "block 1 is not a permutation"),
+        ([[0, 1, 2], [0.5, 1, 2], [0, 0, 2]], "block 1 entries must be integers"),
+        ([[2, 1, 0], [0, 1, 2], [0, 1], ["0", "1", "2"]], "block 2 is not a permutation"),
+        ([[1, 2, 0], [[0, 1, 2]], [3, 1, 0]], "block 1 is not a permutation"),
+        ([[1, 2, 0], [2, 0, 1], [0, 1, 3], [0.0, 1.0, 2.0]], "block 2 is not a permutation"),
+    ])
+    def test_names_the_first_bad_block(self, perms, message):
+        with pytest.raises(ValueError, match=message):
+            PermutationArray(3, perms)
+
+    def test_perms_is_one_read_only_table(self):
+        pa = PermutationArray(3, [[1, 2, 0], [0, 1, 2]])
+        assert isinstance(pa.perms, np.ndarray)
+        assert pa.perms.shape == (2, 3) and pa.perms.dtype == np.int64
+        assert np.array_equal(pa.perms, [[1, 2, 0], [0, 1, 2]])
+        with pytest.raises(ValueError):
+            pa.perms[0, 0] = 2
+        assert PermutationArray(4, []).perms.shape == (0, 4)
+
     def test_to_matrix_places_ones_by_row(self):
         pa = PermutationArray(3, [[1, 2, 0], [0, 1, 2]])
         dense = pa.to_matrix().to_dense()

@@ -67,6 +67,18 @@ class TestLocalGirth:
         report = local_girth(pc144.H)
         assert sum(report.histogram.values()) == pc144.n
 
+    def test_histogram_keys_are_sorted_python_floats(self):
+        # variables 0-1 close a 4-cycle, 2-4 a 6-cycle, 5 none
+        h = SparseBinMatrix.from_dense([
+            [1, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 1, 0],
+            [0, 0, 1, 1, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1],
+        ])
+        hist = local_girth(h).histogram
+        assert hist == {4.0: 2, 6.0: 3, math.inf: 1}
+        assert list(hist) == [4.0, 6.0, math.inf]
+        assert [type(k) for k in hist] == [float] * 3
+        assert [type(v) for v in hist.values()] == [int] * 3
+
 
 def _girth_oracle(dense: np.ndarray) -> list:
     """Shortest cycle through each variable: the least, over its edges

@@ -3,6 +3,7 @@ import pytest
 
 from productldpc import (
     PermutationArray,
+    ProductCode,
     build_hp,
     build_hp_interleaved,
     build_mscmpc,
@@ -102,6 +103,39 @@ class TestInterleavedConstruction:
             build_hp_interleaved(comp5, comp5, PermutationArray.identity(11, 12))
         with pytest.raises(ValueError):
             build_hp_interleaved(comp5, comp5, PermutationArray.identity(12, 11))
+
+
+def dense_product_h(a, b, table):
+    """H from the paper's block formulas in dense arithmetic: I_{k_b} (x) H_a
+    padded with zero columns to n, on top of H_b with entry (i, j) expanded
+    to the block P_j, which has a 1 at (q, table[j][q])."""
+    n_a = a.n
+    top = np.kron(np.eye(b.k, dtype=np.uint8), a.H.to_dense())
+    top = np.pad(top, ((0, 0), (0, a.n * b.n - top.shape[1])))
+    h_b = b.H.to_dense()
+    bottom = np.zeros((h_b.shape[0] * n_a, a.n * b.n), dtype=np.uint8)
+    for i, j in zip(*np.nonzero(h_b)):
+        block = np.zeros((n_a, n_a), dtype=np.uint8)
+        block[np.arange(n_a), table[j]] = 1
+        bottom[i * n_a : (i + 1) * n_a, j * n_a : (j + 1) * n_a] = block
+    return np.vstack([top, bottom])
+
+
+@pytest.mark.parametrize("spec_a,spec_b", [
+    ("spc:3", "spc:3"),
+    ("mscmpc:5:3,4", "mscmpc:5:3,4"),
+    ("spc:3", "mscmpc:5:3,4"),
+    ("mscmpc:5:3,4", "spc:2"),
+    ("spc:1", "mscmpc:10:11,12,13"),
+])
+def test_h_matches_the_dense_block_formulas(spec_a, spec_b, rng):
+    a, b = parse_component_spec(spec_a), parse_component_spec(spec_b)
+    identity = [np.arange(a.n)] * b.n
+    assert np.array_equal(ProductCode(a, b).H.to_dense(), dense_product_h(a, b, identity))
+    for _ in range(3):
+        table = PermutationArray.random(a.n, b.n, rng)
+        dense = dense_product_h(a, b, table.perms)
+        assert np.array_equal(ProductCode(a, b, table).H.to_dense(), dense)
 
 
 class TestEncoder:
