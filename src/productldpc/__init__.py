@@ -17,6 +17,7 @@ from .components import (
     ComponentCode,
     build_mscmpc,
     build_spc,
+    build_uncoded,
     parse_component_spec,
 )
 from .decoder import DecodeResult, spa_decode
@@ -31,13 +32,12 @@ from .gf2 import (
 )
 from .peg import GirthReport, design_circulant, design_generic, local_girth
 from .product import ProductCode, build_hp, build_hp_interleaved
-from .simulate import IdentityCode, SimConfig, SimResult, run_sweep
+from .simulate import SimConfig, SimResult, run_sweep
 
 __all__ = [
     "ComponentCode",
     "DecodeResult",
     "GirthReport",
-    "IdentityCode",
     "PermutationArray",
     "ProductCode",
     "SimConfig",
@@ -48,6 +48,7 @@ __all__ = [
     "build_hp_interleaved",
     "build_mscmpc",
     "build_spc",
+    "build_uncoded",
     "density",
     "design_circulant",
     "design_generic",

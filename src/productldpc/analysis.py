@@ -115,9 +115,8 @@ def _generator_words(code) -> np.ndarray:
     """
     n_words = -(-code.n // 64)
     packed = np.zeros((code.k, 8 * n_words), dtype=np.uint8)
-    for row, unit in zip(packed, np.eye(code.k, dtype=np.uint8)):
-        octets = np.packbits(code.encode(unit), bitorder="little")
-        row[: octets.size] = octets
+    octets = np.packbits(code.encode(np.eye(code.k, dtype=np.uint8)), axis=-1, bitorder="little")
+    packed[:, : octets.shape[1]] = octets
     return packed.view("<u8")
 
 
@@ -136,8 +135,8 @@ def _span(gens: np.ndarray) -> np.ndarray:
 def exhaustive_spectrum(code) -> WeightSpectrum:
     """Exact weight spectrum by enumerating all 2^k codewords.
 
-    Accepts any code whose encode maps a length-k info word to its
-    codeword (product, component or uncoded).  Each codeword is the XOR
+    Accepts any code whose encode maps (..., k) info words to (..., n)
+    codewords: product, component or uncoded.  Each codeword is the XOR
     of a combination of the low ceil(k/2) generator rows with a
     combination of the high floor(k/2) rows; blocks of high combinations
     are XORed against the whole low table one 64-bit word at a time,

@@ -30,11 +30,12 @@ from .analysis import (
     union_bound,
     write_union_bound_csv,
 )
-from .components import parse_component_spec
+from .components import build_uncoded, parse_component_spec
 from .decoder import spa_decode
+from .gf2 import check_int
 from .peg import design_circulant, design_generic, local_girth
 from .product import ProductCode, load_permutation_array, save_permutation_array
-from .simulate import IdentityCode, SimConfig, run_sweep, write_sim_csv
+from .simulate import SimConfig, run_sweep, write_sim_csv
 
 
 MAX_EBN0_POINTS = 100_000
@@ -291,7 +292,8 @@ def simulate(config_path, out, workers):
         raise ValueError(f"config has unknown keys {', '.join(unknown)}; "
                          f"known keys are {', '.join(known)}")
     if "uncoded_n" in doc:
-        code = IdentityCode(doc["uncoded_n"])
+        check_int("uncoded_n", doc["uncoded_n"], 1)
+        code = build_uncoded(doc["uncoded_n"])
         mixed = [key for key in ("comp_a", "comp_b", "perms") if key in doc]
         if mixed:
             raise ValueError(

@@ -2,10 +2,11 @@
 
 Two families are provided: single parity-check codes and serial
 concatenations of multiple-parity-check stages with pairwise distinct
-moduli.  Both put all redundancy at the end of the codeword, so row i
-of H has its rightmost 1 at column k+i.  Back-substitution through H,
-run once on the k unit words, gives the (k, r) parity generator; every
-encode is then one GF(2) product with it.
+moduli, plus the uncoded word space (r = 0, empty H) that serves as the
+BPSK reference.  All put the redundancy at the end of the codeword, so
+row i of H has its rightmost 1 at column k+i.  Back-substitution
+through H, run once, gives the (k, r) parity generator; every encode is
+then one GF(2) product with it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ class ComponentCode:
 
     def __init__(self, n: int, k: int, H: SparseBinMatrix, label: str) -> None:
         r = n - k
-        if r < 1 or k < 1:
-            raise ValueError("need k >= 1 and at least one parity bit")
+        if k < 1 or r < 0:
+            raise ValueError(f"need k >= 1 and n >= k, got n={n}, k={k}")
         if H.rows != r or H.cols != n:
             raise ValueError(f"H must be {r}x{n}, got {H.rows}x{H.cols}")
         for i, sup in enumerate(H.row_support):
@@ -36,11 +37,17 @@ class ComponentCode:
         self.r = r
         self.H = H
         self.label = label
-        # Parity bit i is the XOR of row i's other columns, all below k + i.
-        words = np.eye(k, n, dtype=np.uint8)
-        for i, sup in enumerate(H.row_support):
-            words[:, k + i] = np.bitwise_xor.reduce(words[:, sup[:-1]], axis=1)
-        self._parity_gen = words[:, k:].astype(np.float64)
+        # Row i takes in the info columns of each earlier parity row it
+        # touches, reduced before it: parity bit i is then a sum of info bits.
+        rows = H.to_dense()
+        for i, c in zip(*np.nonzero(np.tril(rows[:, k:], -1))):
+            rows[i] ^= rows[c]
+        # In C order: encode's product with the transposed layout is slower.
+        self._parity_gen = rows[:, :k].T.astype(np.float64, order="C")
+
+    def info_positions(self) -> np.ndarray:
+        """Codeword indices of the k information bits: the first k."""
+        return np.arange(self.k)
 
     def encode(self, info) -> np.ndarray:
         """Encode info words along the last axis: (..., k) bits to (..., n)."""
@@ -53,6 +60,11 @@ class ComponentCode:
 
     def __repr__(self) -> str:
         return f"ComponentCode({self.label}: n={self.n}, k={self.k})"
+
+
+def build_uncoded(n: int) -> ComponentCode:
+    """The (n, n) word space: no parity bits, and encode is the identity."""
+    return ComponentCode(n, n, SparseBinMatrix(0, n, []), f"uncoded:{n}")
 
 
 def build_spc(k: int) -> ComponentCode:

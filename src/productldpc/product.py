@@ -8,9 +8,9 @@ encoding matrix, which already yields full rank) on top of the column
 code's H expanded so that its q-th copy touches, in encoding-matrix row
 m, the bit selected by P_m at index q.
 
-The same table gives the layout, a track map: bit j of column-code
-word q is codeword bit j*n_a + P_j[q].  The encoder reads and writes
-the column code's words through this map alone.
+The same table gives the layout, a track map of n_a column words: bit
+j of column-code word q is codeword bit j*n_a + P_j[q].  The encoder
+reads and writes the column code's words through this map alone.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class ProductCode:
     gives the direct code, whose table is the identity.
     """
 
-    __slots__ = ("comp_a", "comp_b", "interleaver", "H", "n", "k", "_tracks")
+    __slots__ = ("comp_a", "comp_b", "interleaver", "H", "n", "k", "_info_tracks", "_parity_order")
 
     def __init__(
         self,
@@ -55,8 +55,12 @@ class ProductCode:
         hp1 = kron(SparseBinMatrix.identity(b.n), a.H).take_rows(b.k * a.r)
         hp2 = vec_kron(b.H, table.to_matrix(), a.n)
         self.H = vstack([hp1, hp2])
-        # Entry (j, q): codeword index of bit j of column-code word q.
-        self._tracks = np.arange(0, self.n, a.n)[:, None] + table.perms
+        # Row q of the track map: the codeword indices of column-code word q.
+        # Its first k_b columns are gathered as they stand; the parity bits,
+        # which fill the codeword from k_b*n_a on, through the inverse order.
+        tracks = (np.arange(0, self.n, a.n)[:, None] + table.perms).T
+        self._info_tracks = np.ascontiguousarray(tracks[:, : b.k])
+        self._parity_order = np.argsort(tracks[:, b.k :], axis=None)
 
     @property
     def label(self) -> str:
@@ -69,26 +73,22 @@ class ProductCode:
         return (np.arange(k_b)[:, None] * n_a + np.arange(k_a)).ravel()
 
     def encode(self, info) -> np.ndarray:
-        """Codeword for a k_b x k_a information block (or flat length-k).
+        """Encode info words along the last axis: (..., k) bits to (..., n).
 
-        The information rows are encoded with the row code and written
-        first; the column code then encodes the information bits of each
-        track and its parity bits go back through the track map.  The
-        codeword is the n_b x n_a encoding matrix read row-wise.
+        A word is the k_b x k_a information block read row-wise.  The row
+        code encodes its rows, written first; the column code then encodes
+        each track's information bits, and its parity bits go back through
+        the track map.  The codeword is the encoding matrix read row-wise.
         """
         a, b = self.comp_a, self.comp_b
         info = np.asarray(info, dtype=np.uint8)
-        if info.shape == (self.k,):
-            info = info.reshape(b.k, a.k)
-        if info.shape != (b.k, a.k):
-            raise ValueError(
-                f"info must be {b.k}x{a.k} (or flat length {self.k}), got {info.shape}"
-            )
-        out = np.zeros(self.n, dtype=np.uint8)
-        out[: b.k * a.n] = a.encode(info).ravel()
-        parity = b.encode(out[self._tracks[: b.k]].T)[:, b.k :]  # (n_a, r_b)
-        out[self._tracks[b.k :]] = parity.T
-        return out
+        if info.shape[-1:] != (self.k,):
+            raise ValueError(f"expected info words of length k={self.k}, got shape {info.shape}")
+        lead = info.shape[:-1]
+        rows = a.encode(info.reshape(*lead, b.k, a.k)).reshape(*lead, b.k * a.n)
+        words = b.encode(np.take(rows, self._info_tracks, axis=-1))  # (..., n_a, n_b)
+        parity = words[..., b.k :].reshape(*lead, a.n * b.r)
+        return np.concatenate([rows, np.take(parity, self._parity_order, axis=-1)], axis=-1)
 
 
 def build_hp(a: ComponentCode, b: ComponentCode) -> ProductCode:

@@ -30,32 +30,12 @@ from itertools import repeat
 import numpy as np
 
 from .decoder import spa_decode
-from .gf2 import SparseBinMatrix, check_int
+from .gf2 import check_int
 
 CHUNK_FRAMES = 25
 # A process pool starts all its workers on its first submit, so a
 # mistyped worker count must be refused before any pool exists.
 MAX_WORKERS = 64
-
-
-class IdentityCode:
-    """Rate-1 stand-in: k = n, empty H, codeword = information word."""
-
-    def __init__(self, n: int) -> None:
-        check_int("uncoded_n", n, 1)
-        self.n = n
-        self.k = n
-        self.H = SparseBinMatrix(0, n, [])
-        self.label = f"uncoded:{n}"
-
-    def info_positions(self) -> np.ndarray:
-        return np.arange(self.n)
-
-    def encode(self, info) -> np.ndarray:
-        info = np.asarray(info, dtype=np.uint8)
-        if info.shape != (self.k,):
-            raise ValueError(f"expected {self.k} info bits, got {info.shape}")
-        return info
 
 
 def _noise_variance(rate: float, ebn0_db: float) -> float:

@@ -16,6 +16,7 @@ from productldpc import (
     build_hp,
     build_hp_interleaved,
     build_mscmpc,
+    build_uncoded,
     design_circulant,
     design_generic,
     exhaustive_spectrum,
@@ -26,7 +27,7 @@ from productldpc import (
     union_bound,
 )
 from productldpc.analysis import WeightSpectrum, qfunc
-from productldpc.simulate import IdentityCode, SimConfig, run_sweep
+from productldpc.simulate import SimConfig, run_sweep
 
 TABLE_SPECTRUM = {16: 64, 20: 0, 22: 0, 24: 246, 26: 0, 28: 504, 30: 392, 32: 1262}
 
@@ -110,7 +111,7 @@ def test_criterion_3_interleaved_consistency(comp5):
     for perms in arrays:
         ipc = build_hp_interleaved(comp5, comp5, perms)
         for _ in range(1000):
-            info = rng.integers(0, 2, (5, 5), dtype=np.uint8)
+            info = rng.integers(0, 2, 25, dtype=np.uint8)
             if syndrome(ipc.H, ipc.encode(info)).any():
                 bad += 1
     ok = bad == 0
@@ -152,12 +153,12 @@ def test_criterion_6_decoder_sanity(pc144):
     rng = np.random.default_rng(99)
     fixed_ok = True
     for _ in range(5):
-        cw = pc144.encode(rng.integers(0, 2, (5, 5), dtype=np.uint8))
+        cw = pc144.encode(rng.integers(0, 2, 25, dtype=np.uint8))
         res = spa_decode(pc144.H, 20.0 * (1.0 - 2.0 * cw.astype(float)))
         fixed_ok &= res.converged and res.iterations_used == 1
         fixed_ok &= bool(np.array_equal(res.hard_bits, cw))
 
-    code = IdentityCode(10000)
+    code = build_uncoded(10000)
     cfg = SimConfig(code=code, ebn0_db=[2.0, 4.0, 6.0], max_iter=5,
                     min_frame_errors=200, max_frames=200, seed=31)
     points = run_sweep(cfg).points

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from productldpc import (
     ComponentCode,
-    IdentityCode,
     SparseBinMatrix,
     build_hp,
     build_mscmpc,
     build_spc,
+    build_uncoded,
     exhaustive_spectrum,
     low_weight_search,
     union_bound,
@@ -68,7 +68,7 @@ class TestExhaustiveSpectrum:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 13, 20])
     def test_uncoded_word_space_gives_binomial_counts(self, n):
-        spec = exhaustive_spectrum(IdentityCode(n))
+        spec = exhaustive_spectrum(build_uncoded(n))
         assert spec.counts == {w: math.comb(n, w) for w in range(n + 1)}
         assert (spec.n, spec.k, spec.complete) == (n, n, True)
 

@@ -133,6 +133,23 @@ def test_mindist(runner, tmp_path):
     assert not doc["complete"]
 
 
+def test_mindist_finds_no_low_weight_word_and_bound_refuses_its_spectrum(runner, tmp_path):
+    spec = tmp_path / "f.json"
+    result = runner.invoke(
+        main, ["mindist", "--comp", "spc:3", "--w-max", "1", "--out", str(spec)]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == "no codewords of weight <= 1"
+    assert json.loads(spec.read_text())["counts"] == {"0": 1}
+    out = tmp_path / "ub.csv"
+    result = runner.invoke(
+        main, ["bound", "--spectrum", str(spec), "--ebn0", "0:4:1", "--out", str(out)]
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.strip() == "error: spectrum has no nonzero-weight terms"
+    assert not out.exists()
+
+
 def test_bound_from_spectrum(runner, tmp_path):
     spec = tmp_path / "spec.json"
     runner.invoke(main, ["spectrum", "--comp", "spc:3", "--square", "--out", str(spec)])
@@ -533,6 +550,20 @@ def test_girth_rejects_trailing_alist_tokens(runner, tmp_path):
     out = result.output.strip()
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert out == "error: 3 trailing tokens after the row lists"
+
+
+@pytest.mark.parametrize("text, line", [
+    # column 0 declares degree 2 and lists one row index
+    ("2 1\n1 2\n2 1\n2\n1\n1\n1 2\n", "error: column 0: degree list disagrees with indices"),
+    # column 0 names row 3 of a one-row matrix
+    ("2 1\n1 2\n1 1\n2\n3\n1\n1 2\n", "error: column 0: row index 3 out of range"),
+], ids=["degree", "range"])
+def test_girth_rejects_inconsistent_alist_columns(runner, tmp_path, text, line):
+    path = tmp_path / "h.alist"
+    path.write_text(text)
+    result = runner.invoke(main, ["girth", "--in", str(path)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.strip() == line
 
 
 def test_simulate_rejects_unknown_config_keys(runner, tmp_path):

@@ -11,7 +11,9 @@ from productldpc import (
     SparseBinMatrix,
     build_mscmpc,
     build_spc,
+    build_uncoded,
     local_girth,
+    low_weight_search,
     parse_component_spec,
     rank_gf2,
     syndrome,
@@ -92,6 +94,50 @@ class TestMscmpc:
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 assert len(rows[i] & rows[j]) <= 1
+
+
+class TestConstructorRules:
+    @pytest.mark.parametrize("rows, cols", [(1, 5), (2, 4), (0, 4)])
+    def test_rejects_h_of_the_wrong_shape(self, rows, cols):
+        H = SparseBinMatrix(rows, cols, [[cols - 1]] * rows)
+        with pytest.raises(ValueError, match=f"^H must be 1x4, got {rows}x{cols}$"):
+            ComponentCode(4, 3, H, "bad")
+
+    @pytest.mark.parametrize("support, row", [
+        ([[0, 3], [1, 3]], 0),  # row 0 ends at column 3, not 2
+        ([[0, 2], [1, 2]], 1),  # row 1 ends at column 2, not 3
+        ([[], [1, 3]], 0),      # an empty row has no rightmost 1
+    ])
+    def test_rejects_a_row_not_ending_at_k_plus_i(self, support, row):
+        H = SparseBinMatrix(2, 4, support)
+        with pytest.raises(ValueError, match=f"^row {row} must have its rightmost 1 "
+                                             f"at column {2 + row}$"):
+            ComponentCode(4, 2, H, "bad")
+
+    @pytest.mark.parametrize("n, k", [(2, 0), (0, 0), (2, 3)])
+    def test_rejects_k_below_one_or_n_below_k(self, n, k):
+        H = SparseBinMatrix(max(n - k, 0), n, [[i] for i in range(max(n - k, 0))])
+        with pytest.raises(ValueError, match=f"^need k >= 1 and n >= k, got n={n}, k={k}$"):
+            ComponentCode(n, k, H, "bad")
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 300])
+    def test_uncoded_is_the_identity_code(self, n, rng):
+        code = build_uncoded(n)
+        assert (code.n, code.k, code.r, code.label) == (n, n, 0, f"uncoded:{n}")
+        assert (code.H.rows, code.H.cols) == (0, n)
+        assert np.array_equal(code.info_positions(), np.arange(n))
+        words = rng.integers(0, 2, (3, 2, n), dtype=np.uint8)
+        got = code.encode(words)
+        assert got.dtype == np.uint8 and np.array_equal(got, words)
+        with pytest.raises(ValueError, match=f"length k={n}"):
+            code.encode(np.zeros(n + 1, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 300])
+    def test_uncoded_has_n_weight_one_words(self, n):
+        assert low_weight_search(build_uncoded(n), 1).counts == {0: 1, 1: n}
+
+    def test_info_positions_are_the_systematic_prefix(self, comp5):
+        assert np.array_equal(comp5.info_positions(), np.arange(5))
 
 
 class TestEncoding:

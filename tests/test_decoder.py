@@ -27,7 +27,7 @@ class TestFixedPoints:
         assert not res.hard_bits.any()
 
     def test_noiseless_codeword(self, pc144, rng):
-        info = rng.integers(0, 2, (5, 5), dtype=np.uint8)
+        info = rng.integers(0, 2, 25, dtype=np.uint8)
         cw = pc144.encode(info)
         res = spa_decode(pc144.H, bpsk_llr(cw, 20.0))
         assert res.converged and res.iterations_used == 1
@@ -36,7 +36,7 @@ class TestFixedPoints:
 
 class TestCorrection:
     def test_single_flip_recovered(self, pc144, rng):
-        info = rng.integers(0, 2, (5, 5), dtype=np.uint8)
+        info = rng.integers(0, 2, 25, dtype=np.uint8)
         cw = pc144.encode(info)
         llr = bpsk_llr(cw, 8.0)
         llr[60] = -2.0 * (1.0 - 2.0 * cw[60])  # one bit pushed the wrong way
@@ -58,7 +58,7 @@ class TestSymmetry:
     def test_sign_flip_maps_output_through_codeword(self, comp5, pc144, rng):
         pa = PermutationArray.random(12, 12, rng)
         ipc = build_hp_interleaved(comp5, comp5, pa)
-        cw = ipc.encode(rng.integers(0, 2, (5, 5), dtype=np.uint8))
+        cw = ipc.encode(rng.integers(0, 2, 25, dtype=np.uint8))
         flip = 1.0 - 2.0 * cw.astype(np.float64)
         for _ in range(5):
             llr = rng.normal(0.0, 3.0, ipc.n)

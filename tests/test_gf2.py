@@ -84,6 +84,21 @@ class TestSparseBinMatrix:
         with pytest.raises(ValueError, match="integers"):
             SparseBinMatrix(1, 4, [row])
 
+    @pytest.mark.parametrize("rows, cols", [(-1, 3), (2, -1)])
+    def test_rejects_negative_dimensions(self, rows, cols):
+        with pytest.raises(ValueError, match="^matrix dimensions must be nonnegative$"):
+            SparseBinMatrix(rows, cols, [])
+
+    @pytest.mark.parametrize("supports", [[[0]], [[0], [1], [2]]])
+    def test_rejects_support_count_other_than_rows(self, supports):
+        with pytest.raises(ValueError, match=f"^expected 2 support lists, got {len(supports)}$"):
+            SparseBinMatrix(2, 3, supports)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    def test_from_dense_rejects_other_than_two_axes(self, shape):
+        with pytest.raises(ValueError, match="^dense input must be two-dimensional$"):
+            SparseBinMatrix.from_dense(np.ones(shape, dtype=np.uint8))
+
     def test_all_zero_row_is_representable(self):
         m = SparseBinMatrix(2, 4, [[], [0, 3]])
         assert m.nnz == 2
@@ -294,6 +309,10 @@ class TestPermutationArray:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             PermutationArray(3, [[0, 1]])
+
+    def test_rejects_empty_blocks(self):
+        with pytest.raises(ValueError, match="^block size must be at least 1$"):
+            PermutationArray(0, [])
 
     @pytest.mark.parametrize("perm", [[0.5, 1, 2], [0.0, 1.0, 2.0], ["0", "1", "2"]])
     def test_rejects_non_integer_entries(self, perm):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from productldpc import (
     PermutationArray,
@@ -140,23 +142,29 @@ def test_h_matches_the_dense_block_formulas(spec_a, spec_b, rng):
 
 class TestEncoder:
     def test_zero_info_zero_codeword(self, pc144):
-        assert not pc144.encode(np.zeros((5, 5), dtype=np.uint8)).any()
+        assert not pc144.encode(np.zeros(25, dtype=np.uint8)).any()
 
     def test_single_one_gives_minimum_weight_product(self, spc_square):
-        info = np.zeros((3, 3), dtype=np.uint8)
-        info[0, 0] = 1
+        info = np.zeros(9, dtype=np.uint8)
+        info[0] = 1
         cw = spc_square.encode(info)
         assert cw.sum() == 4  # d_a * d_b for two distance-2 components
         grid = cw.reshape(4, 4)
         assert grid[0, 0] == grid[0, 3] == grid[3, 0] == grid[3, 3] == 1
 
     def test_flat_info_accepted(self, pc144, rng):
-        info = rng.integers(0, 2, (5, 5), dtype=np.uint8)
-        assert np.array_equal(pc144.encode(info), pc144.encode(info.ravel()))
+        info = rng.integers(0, 2, 25, dtype=np.uint8)
+        cw = pc144.encode(info)
+        assert cw.shape == (pc144.n,)
+        assert np.array_equal(cw, pc144.encode(info[None, :])[0])
+
+    def test_block_rejected(self, pc144):
+        with pytest.raises(ValueError, match="length k=25"):
+            pc144.encode(np.zeros((5, 5), dtype=np.uint8))
 
     def test_consistency_direct(self, pc144, rng):
         for _ in range(25):
-            info = rng.integers(0, 2, (5, 5), dtype=np.uint8)
+            info = rng.integers(0, 2, 25, dtype=np.uint8)
             assert not syndrome(pc144.H, pc144.encode(info)).any()
 
     def test_consistency_interleaved_random_arrays(self, comp5, rng):
@@ -164,33 +172,33 @@ class TestEncoder:
             pa = PermutationArray.random(12, 12, rng)
             ipc = build_hp_interleaved(comp5, comp5, pa)
             for _ in range(20):
-                info = rng.integers(0, 2, (5, 5), dtype=np.uint8)
+                info = rng.integers(0, 2, 25, dtype=np.uint8)
                 assert not syndrome(ipc.H, ipc.encode(info)).any()
 
     def test_consistency_mixed_components(self, comp5, spc3, rng):
         pa = PermutationArray.random(spc3.n, comp5.n, rng)
         ipc = build_hp_interleaved(spc3, comp5, pa)
         for _ in range(20):
-            info = rng.integers(0, 2, (comp5.k, spc3.k), dtype=np.uint8)
+            info = rng.integers(0, 2, comp5.k * spc3.k, dtype=np.uint8)
             assert not syndrome(ipc.H, ipc.encode(info)).any()
 
     def test_identity_array_encodes_identically(self, comp5, pc144, rng):
         ipc = build_hp_interleaved(comp5, comp5, PermutationArray.identity(12, 12))
-        info = rng.integers(0, 2, (5, 5), dtype=np.uint8)
+        info = rng.integers(0, 2, 25, dtype=np.uint8)
         assert np.array_equal(pc144.encode(info), ipc.encode(info))
 
     def test_linearity(self, comp5, rng):
         pa = PermutationArray.random(12, 12, rng)
         ipc = build_hp_interleaved(comp5, comp5, pa)
-        u = rng.integers(0, 2, (5, 5), dtype=np.uint8)
-        v = rng.integers(0, 2, (5, 5), dtype=np.uint8)
+        u = rng.integers(0, 2, 25, dtype=np.uint8)
+        v = rng.integers(0, 2, 25, dtype=np.uint8)
         assert np.array_equal(ipc.encode(u ^ v), ipc.encode(u) ^ ipc.encode(v))
 
     def test_info_positions_hold_info_bits(self, comp5, rng):
         pa = PermutationArray.random(12, 12, rng)
         ipc = build_hp_interleaved(comp5, comp5, pa)
-        info = rng.integers(0, 2, (5, 5), dtype=np.uint8)
-        assert np.array_equal(ipc.encode(info)[ipc.info_positions()], info.ravel())
+        info = rng.integers(0, 2, 25, dtype=np.uint8)
+        assert np.array_equal(ipc.encode(info)[ipc.info_positions()], info)
 
     @pytest.mark.parametrize("spec_a,spec_b", [
         ("spc:3", "mscmpc:5:3,4"),
@@ -204,17 +212,48 @@ class TestEncoder:
         twin = build_hp_interleaved(a, b, PermutationArray.identity(a.n, b.n))
         interleaved = build_hp_interleaved(a, b, PermutationArray.random(a.n, b.n, rng))
         for _ in range(10):
-            info = rng.integers(0, 2, (b.k, a.k), dtype=np.uint8)
+            info = rng.integers(0, 2, b.k * a.k, dtype=np.uint8)
             words = [pc.encode(info) for pc in (direct, twin, interleaved)]
             assert np.array_equal(words[0], words[1])
             for pc, cw in zip((direct, twin, interleaved), words):
                 assert cw.shape == (a.n * b.n,) and cw.dtype == np.uint8
                 assert not syndrome(pc.H, cw).any()
-                assert np.array_equal(cw[pc.info_positions()], info.ravel())
+                assert np.array_equal(cw[pc.info_positions()], info)
 
     def test_shape_mismatch_rejected(self, pc144):
         with pytest.raises(ValueError):
             pc144.encode(np.zeros((4, 5), dtype=np.uint8))
+
+
+PROPERTY_COMPONENTS = [
+    parse_component_spec(spec) for spec in ("spc:1", "spc:3", "mscmpc:5:3,4", "mscmpc:10:11,12,13")
+]
+
+
+@st.composite
+def _product_and_words(draw):
+    """A direct or randomly interleaved product of two drawn components
+    (often of different sizes) and an (f1, f2, k) stack of info words."""
+    a = draw(st.sampled_from(PROPERTY_COMPONENTS))
+    b = draw(st.sampled_from(PROPERTY_COMPONENTS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    table = draw(st.sampled_from([None, PermutationArray.random(a.n, b.n, rng)]))
+    pc = ProductCode(a, b, table)
+    f1, f2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return pc, rng.integers(0, 2, (f1, f2, pc.k), dtype=np.uint8)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_product_and_words())
+def test_encode_maps_the_last_axis_like_one_word_at_a_time(case):
+    pc, info = case
+    got = pc.encode(info)
+    assert got.shape == info.shape[:-1] + (pc.n,) and got.dtype == np.uint8
+    for index in np.ndindex(info.shape[:-1]):
+        assert np.array_equal(got[index], pc.encode(info[index]))
+        assert not syndrome(pc.H, got[index]).any()
+        assert np.array_equal(got[index][pc.info_positions()], info[index])
 
 
 class TestPermutationJson:

@@ -5,12 +5,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from productldpc import build_hp, build_spc
+from productldpc import ComponentCode, build_hp, build_spc, build_uncoded
 from productldpc.analysis import qfunc
 from productldpc.simulate import (
     CHUNK_FRAMES,
     MAX_WORKERS,
-    IdentityCode,
     SimConfig,
     SimPoint,
     _chunk_plan,
@@ -21,14 +20,19 @@ from productldpc.simulate import (
 )
 
 
-class CountingCode(IdentityCode):
-    """Counts the pickles made of it; workers unpickle a plain IdentityCode."""
+class CountingCode(ComponentCode):
+    """An uncoded code that counts the pickles made of it; workers
+    unpickle a plain one."""
 
     pickles = 0
 
+    def __init__(self, n):
+        uncoded = build_uncoded(n)
+        super().__init__(n, n, uncoded.H, uncoded.label)
+
     def __reduce_ex__(self, protocol):
         CountingCode.pickles += 1
-        return IdentityCode, (self.n,)
+        return build_uncoded, (self.n,)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +117,7 @@ class TestDeterminism:
     def test_no_chunk_past_the_expected_stop(self, workers):
         # Every frame fails, so two 25-frame chunks reach 50 errors: no
         # worker starts a third chunk that the stop would discard.
-        cfg = SimConfig(code=IdentityCode(16), ebn0_db=[-30.0], min_frame_errors=50,
+        cfg = SimConfig(code=build_uncoded(16), ebn0_db=[-30.0], min_frame_errors=50,
                         max_frames=500, seed=5, workers=workers)
         submitted = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -147,7 +151,7 @@ class TestChunkPlan:
     def test_a_large_frame_cap_is_not_built_up_front(self):
         # Every frame fails, so the point stops after two chunks; a plan
         # built as a list would hold 4 million sizes (about 30 MiB).
-        cfg = SimConfig(code=IdentityCode(16), ebn0_db=[-30.0], min_frame_errors=50,
+        cfg = SimConfig(code=build_uncoded(16), ebn0_db=[-30.0], min_frame_errors=50,
                         max_frames=10**8, seed=5)
         tracemalloc.start()
         try:
@@ -201,7 +205,7 @@ class TestCounters:
 
 class TestUncoded:
     def test_identity_code_matches_bpsk_theory(self):
-        code = IdentityCode(5000)
+        code = build_uncoded(5000)
         cfg = SimConfig(code=code, ebn0_db=[4.0], min_frame_errors=100,
                         max_frames=100, seed=21)
         (p,) = run_sweep(cfg).points
@@ -210,7 +214,7 @@ class TestUncoded:
         assert abs(p.ber - theory) <= 3 * math.sqrt(theory * (1 - theory) / n_bits)
 
     def test_identity_encode_validates_length(self):
-        code = IdentityCode(8)
+        code = build_uncoded(8)
         with pytest.raises(ValueError):
             code.encode(np.zeros(7, dtype=np.uint8))
 
