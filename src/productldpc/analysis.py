@@ -4,8 +4,8 @@ Small codes are enumerated exhaustively by meet in the middle: the
 codewords spanned by the low and by the high half of the generator rows
 are tabulated as packed 64-bit words, and every (high, low) pair is
 XORed and weighed with a popcount, a block of pairs at a time.
-Component codes get one counting pass over the pairs of parity-check
-columns for the low-weight terms, which is what drives
+The low-weight terms of any code come from one counting pass over the
+pairs of its parity-check columns, which is what drives
 minimum-distance and error-floor numbers for sizes far beyond
 exhaustive reach.
 """
@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.special import erfc
 
-from .components import ComponentCode
 from .gf2 import check_int
 
 EXHAUSTIVE_K_LIMIT = 28
@@ -176,10 +174,12 @@ def exhaustive_spectrum(code) -> WeightSpectrum:
     )
 
 
-def low_weight_search(code: ComponentCode, w_max: int) -> WeightSpectrum:
+def low_weight_search(code, w_max: int) -> WeightSpectrum:
     """Truncated spectrum A_1..A_{w_max} from parity-check column sums.
 
-    A weight-w codeword is w columns of H adding to zero.  With single[s]
+    Reads only `code.H` and `code.k`, so it takes any code of the one
+    code protocol, or any object with those two fields.  A weight-w
+    codeword is w columns of H adding to zero.  With single[s]
     columns equal to s and pairs[s] column pairs summing to s, A_1 is
     single[0] and A_2 sums C(single[s], 2).  Sums of pairs[s]*single[s]
     and of C(pairs[s], 2) count each weight-3 and weight-4 word three
@@ -208,9 +208,12 @@ def low_weight_search(code: ComponentCode, w_max: int) -> WeightSpectrum:
     return WeightSpectrum(n=n, k=code.k, counts=counts, complete=False)
 
 
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
+
+
 def qfunc(x) -> np.ndarray:
-    """Tail probability of the standard normal distribution."""
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+    """Tail probability of the standard normal distribution, elementwise."""
+    return 0.5 * _erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
 
 
 def union_bound(spectrum: WeightSpectrum, rate: float, ebn0_db_list):

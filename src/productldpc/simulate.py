@@ -25,7 +25,6 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -127,11 +126,9 @@ def _run_chunk(code, ebn0_db: float, n_frames: int, seed, point_idx: int,
 
 def _chunk_plan(max_frames: int):
     """The frame counts of a point's chunks, in order, made as they are
-    asked for: a point that stops early never holds the rest."""
-    full, rest = divmod(max_frames, CHUNK_FRAMES)
-    yield from repeat(CHUNK_FRAMES, full)
-    if rest:
-        yield rest
+    asked for: a point that stops early never holds the rest.  The range
+    walk takes any max_frames, even one past sys.maxsize."""
+    return (min(CHUNK_FRAMES, max_frames - s) for s in range(0, max_frames, CHUNK_FRAMES))
 
 
 # The code of the sweep a pool worker serves, set once by _init_worker

@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import erfc
 
 from productldpc import (
     ComponentCode,
@@ -138,6 +140,23 @@ def test_low_weight_search_matches_exhaustive_prefix(case):
     assert low_weight_search(code, w_max).counts == {
         w: c for w, c in full.items() if w <= w_max
     }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+                  elements=st.floats(-40.0, 40.0)))
+@example(0.0)
+@example(np.array(-1.5))
+@example(np.array([[0.0, math.inf], [-math.inf, math.nan]]))
+@example(np.linspace(0.0, 40.0, 4001))
+def test_qfunc_matches_scipy_erfc(x):
+    want = 0.5 * erfc(np.asarray(x) / math.sqrt(2.0))
+    got = qfunc(x)
+    assert np.shape(got) == np.shape(x)
+    # Past x = 37.5, Q is subnormal and has fewer than 53 bits to compare;
+    # scipy also rounds it to 0 from x = 37.68 on, where math.erfc does
+    # not.  There the two agree to within the smallest normal float.
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=np.finfo(np.float64).tiny)
 
 
 class TestUnionBound:

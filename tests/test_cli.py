@@ -426,6 +426,20 @@ def test_simulate_product_code(runner, tmp_path):
     assert len(rows) == 2
 
 
+def test_simulate_takes_max_frames_past_sys_maxsize(runner, tmp_path):
+    # The stopping rule ends the point long before the frame cap.
+    cfg = {"comp_a": "spc:2", "comp_b": "spc:2", "ebn0_db": [0.0], "min_frame_errors": 1,
+           "max_frames": 10**29, "seed": 3}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "res.csv"
+    result = runner.invoke(main, ["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "Traceback" not in result.output
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(rows) == 2
+
+
 @pytest.mark.parametrize("max_iter", [0, 2.5])
 def test_simulate_rejects_bad_max_iter_before_starting(runner, tmp_path, max_iter):
     cfg = {"comp_a": "spc:3", "comp_b": "spc:3", "ebn0_db": [2.0], "max_iter": max_iter}

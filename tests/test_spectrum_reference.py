@@ -20,7 +20,6 @@ from productldpc import (
     exhaustive_spectrum,
 )
 from productldpc.analysis import WeightSpectrum
-from productldpc.product import ProductCode
 
 
 def _pack_bits(bits: np.ndarray) -> int:
@@ -31,13 +30,7 @@ def _pack_bits(bits: np.ndarray) -> int:
 
 def _generator_words(code) -> list[int]:
     """Packed codewords of the k unit information words."""
-    if isinstance(code, ProductCode):
-        encode = code.encode
-    elif isinstance(code, ComponentCode):
-        encode = code.encode
-    else:
-        raise TypeError(f"cannot enumerate {type(code).__name__}")
-    return [_pack_bits(encode(unit)) for unit in np.eye(code.k, dtype=np.uint8)]
+    return [_pack_bits(word) for word in code.encode(np.eye(code.k, dtype=np.uint8))]
 
 
 def reference_exhaustive_spectrum(code) -> WeightSpectrum:
