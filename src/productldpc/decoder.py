@@ -113,8 +113,6 @@ def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
 def _check_sums(rows: np.ndarray) -> np.ndarray:
     """Column sums of a (degree, checks) array in ``np.add.reduceat``'s
     order for one segment: the first term plus the pairwise sum of the rest."""
-    if len(rows) == 1:
-        return rows[0]
     return rows[0] + _pairwise_rows(rows[1:])
 
 

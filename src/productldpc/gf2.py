@@ -86,7 +86,8 @@ class SparseBinMatrix:
     def _from_coords(cls, rows: int, cols: int, r, c) -> "SparseBinMatrix":
         """Matrix with a 1 at each (r[t], c[t]): distinct, in any order."""
         m = cls.__new__(cls)
-        m._store(rows, cols, np.sort(np.asarray(r, dtype=np.int64) * cols + c))
+        # Stable is linear on the sorted runs that kron, vec_kron and vstack pass.
+        m._store(rows, cols, np.sort(np.asarray(r, dtype=np.int64) * cols + c, kind="stable"))
         return m
 
     @classmethod
@@ -122,13 +123,6 @@ class SparseBinMatrix:
         order = np.argsort(self.indices, kind="stable")
         col_ptr = _bounds(np.bincount(self.indices, minlength=self.cols))
         return _segments(_row_ids(self.indptr)[order].astype(_IDX), col_ptr)
-
-    def take_rows(self, count: int) -> "SparseBinMatrix":
-        """First `count` rows, column count unchanged."""
-        if not 0 <= count <= self.rows:
-            raise ValueError(f"cannot take {count} rows from {self.rows}")
-        r = _row_ids(self.indptr[: count + 1])
-        return SparseBinMatrix._from_coords(count, self.cols, r, self.indices[: r.size])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseBinMatrix):

@@ -50,9 +50,9 @@ class ProductCode:
         self.interleaver = interleaver
         self.n = a.n * b.n
         self.k = a.k * b.k
-        # Full replication has one H_a block per encoding-matrix row; dropping
-        # the last r_a*r_b rows (the checks-on-checks blocks) restores full rank.
-        hp1 = kron(SparseBinMatrix.identity(b.n), a.H).take_rows(b.k * a.r)
+        # H_a checks only the k_b information rows, which the row code encodes; a
+        # parity row's copy is redundant in the direct code and false in others.
+        hp1 = kron(SparseBinMatrix(b.k, b.n, np.arange(b.k)[:, None]), a.H)
         hp2 = vec_kron(b.H, table.to_matrix(), a.n)
         self.H = vstack([hp1, hp2])
         # Row q of the track map: the codeword indices of column-code word q.

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.special import erfc
 
 from productldpc import (
     ComponentCode,
+    ProductCode,
     SparseBinMatrix,
     build_hp,
     build_mscmpc,
@@ -25,6 +28,9 @@ from productldpc.analysis import (
     qfunc,
     save_spectrum,
 )
+from productldpc.product import load_permutation_array
+
+DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 def brute_force_spectrum(code):
@@ -293,3 +299,16 @@ class TestSerialization:
         again = load_spectrum(path)
         assert again.counts == spec.counts
         assert (again.n, again.k, again.complete) == (spec.n, spec.k, spec.complete)
+
+    # SHA-256 of the spectrum file (no meta) of each (144,25) code when these
+    # pins were recorded; any change to the counts or the file format shows.
+    @pytest.mark.parametrize("perms, digest", [
+        (None, "d6c260af5578f8a95c643559289e16f6ee25fb9329320045ec442d9b830752e4"),
+        ("perms_mscmpc5_seed1.json",
+         "8bb57d3ed67151efaad9fba1794cf999d04e80fe391ee35ee9900f57b62e23c1"),
+    ], ids=["direct-144", "interleaved-144"])
+    def test_spectrum_bytes_are_pinned(self, tmp_path, comp5, perms, digest):
+        table = None if perms is None else load_permutation_array(DATA / perms)
+        path = tmp_path / "spec.json"
+        save_spectrum(exhaustive_spectrum(ProductCode(comp5, comp5, table)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

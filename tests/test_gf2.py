@@ -122,13 +122,11 @@ class TestSparseBinMatrix:
 
     @PROPERTY
     @given(st.data())
-    def test_vstack_and_take_rows_against_dense(self, data):
+    def test_vstack_against_dense(self, data):
         top = data.draw(_dense())
         bottom = data.draw(_dense(cols=top.shape[1]))
-        count = data.draw(st.integers(0, top.shape[0]))
         a, b = SparseBinMatrix.from_dense(top), SparseBinMatrix.from_dense(bottom)
         assert np.array_equal(vstack([a, b]).to_dense(), np.vstack([top, bottom]))
-        assert np.array_equal(a.take_rows(count).to_dense(), top[:count])
 
     @PROPERTY
     @given(st.data(), st.sampled_from(["out-of-range", "unsorted", "duplicate", "2-D"]))

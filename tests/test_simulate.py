@@ -1,11 +1,13 @@
+import hashlib
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from productldpc import ComponentCode, build_hp, build_spc, build_uncoded
+from productldpc import ComponentCode, ProductCode, build_hp, build_spc, build_uncoded
 from productldpc.analysis import qfunc
 from productldpc.simulate import (
     CHUNK_FRAMES,
@@ -18,6 +20,9 @@ from productldpc.simulate import (
     run_sweep,
     write_sim_csv,
 )
+from productldpc.product import load_permutation_array
+
+DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 class CountingCode(ComponentCode):
@@ -230,3 +235,24 @@ def test_csv_output(tmp_path):
     assert "# seed=1" in text
     assert "ebn0_db,frames,bit_errors,frame_errors,ber,fer,avg_iter,low_confidence" in text
     assert text.strip().endswith("4.500,1")
+
+
+# SHA-256 of the sweep CSV of each (144,25) code when these pins were
+# recorded, with its (frames, frame errors, bit errors) per point; the
+# bytes must not depend on the worker count.
+@pytest.mark.parametrize("perms, counts, digest", [
+    (None, [(150, 20, 51), (425, 22, 49), (2000, 12, 33)],
+     "481faad634c91728762442a31c08613430dfb98b7f9e649729e07039002facdb"),
+    ("perms_mscmpc5_seed1.json", [(225, 20, 44), (650, 21, 37), (2000, 8, 16)],
+     "50307c36bf2c7e4cc5163422a0cca68e33b52c9d04b8164e54e65332a8464df8"),
+], ids=["direct-144", "interleaved-144"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_csv_bytes_are_pinned(tmp_path, comp5, perms, counts, digest, workers):
+    table = None if perms is None else load_permutation_array(DATA / perms)
+    code = ProductCode(comp5, comp5, table)
+    result = run_sweep(SimConfig(code, ebn0_db=[2.0, 3.0, 4.0], max_iter=50, min_frame_errors=20,
+                                 max_frames=2000, seed=7, workers=workers))
+    assert [(p.frames, p.frame_errors, p.bit_errors) for p in result.points] == counts
+    path = tmp_path / "sweep.csv"
+    write_sim_csv(path, result)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
