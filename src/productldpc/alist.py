@@ -8,30 +8,20 @@ degree.  write_alist/read_alist round-trip bit-exactly.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .gf2 import SparseBinMatrix
 
 
 def write_alist(m: SparseBinMatrix, path) -> None:
-    col_sup = m.col_support()
-    row_sup = m.row_support
-    col_deg = [len(s) for s in col_sup]
-    row_deg = [len(s) for s in row_sup]
-    max_col = max(col_deg, default=0)
-    max_row = max(row_deg, default=0)
-
-    def padded(indices, width):
-        vals = [str(int(i) + 1) for i in indices]
-        vals += ["0"] * (width - len(vals))
-        return " ".join(vals)
-
-    lines = [
-        f"{m.cols} {m.rows}",
-        f"{max_col} {max_row}",
-        " ".join(str(d) for d in col_deg),
-        " ".join(str(d) for d in row_deg),
-    ]
-    lines += [padded(s, max_col) for s in col_sup]
-    lines += [padded(s, max_row) for s in row_sup]
+    halves = (m.transpose(), m)  # the column lists, then the row lists
+    degrees = [x.row_weights() for x in halves]
+    lines = [f"{m.cols} {m.rows}", " ".join(str(d.max(initial=0)) for d in degrees)]
+    lines += [" ".join(map(str, d.tolist())) for d in degrees]
+    for x, d in zip(halves, degrees):
+        padded = np.zeros((x.rows, d.max(initial=0)), dtype=np.int64)
+        padded[np.arange(padded.shape[1]) < d[:, None]] = x.indices + 1
+        lines += [" ".join(map(str, row)) for row in padded.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

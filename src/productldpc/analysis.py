@@ -191,10 +191,7 @@ def low_weight_search(code, w_max: int) -> WeightSpectrum:
     if not 1 <= w_max <= LOW_WEIGHT_MAX:
         raise ValueError(f"w_max must be in [1, {LOW_WEIGHT_MAX}], got {w_max}")
     n = code.H.cols
-    col_words = [0] * n
-    for r, sup in enumerate(code.H.row_support):
-        for c in sup:
-            col_words[c] |= 1 << r
+    col_words = [sum(1 << r for r in sup.tolist()) for sup in code.H.col_support()]
     single = Counter(col_words)
     zeros = single[0]
     equal_pairs = sum(m * (m - 1) // 2 for m in single.values())

@@ -2,9 +2,9 @@
 
 Parity-check matrices are stored in compressed sparse row (CSR) form:
 row i's nonzero columns are ``indices[indptr[i]:indptr[i + 1]]``, in
-strictly increasing order.  Bit vectors cross the module boundary as
-0/1 integer arrays; any packed representation used internally (e.g.
-for rank elimination) stays internal.
+strictly increasing order, and ``transpose()`` reads a matrix by
+columns.  Bit vectors cross the module boundary as 0/1 integer arrays;
+any packed representation (e.g. for rank elimination) stays internal.
 
 The module imports nothing from the package, so it is also the home of
 ``check_int``, the count check that every layer applies to its inputs.
@@ -35,11 +35,6 @@ def _row_ids(indptr: np.ndarray) -> np.ndarray:
 def _bounds(counts) -> np.ndarray:
     """Segment boundaries [0, c0, c0 + c1, ...] of consecutive counts."""
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-
-
-def _segments(values: np.ndarray, indptr: np.ndarray) -> list[np.ndarray]:
-    bounds = indptr.tolist()
-    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class SparseBinMatrix:
@@ -113,16 +108,19 @@ class SparseBinMatrix:
     @property
     def row_support(self) -> list[np.ndarray]:
         """Per-row sorted column indices, as read-only views of ``indices``."""
-        return _segments(self.indices, self.indptr)
+        bounds = self.indptr.tolist()
+        return [self.indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def row_weights(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def transpose(self) -> "SparseBinMatrix":
+        """The matrix by columns: row j of the result is column j."""
+        return self._from_coords(self.cols, self.rows, self.indices, _row_ids(self.indptr))
+
     def col_support(self) -> list[np.ndarray]:
-        """Per-column sorted row indices (transpose of row_support)."""
-        order = np.argsort(self.indices, kind="stable")
-        col_ptr = _bounds(np.bincount(self.indices, minlength=self.cols))
-        return _segments(_row_ids(self.indptr)[order].astype(_IDX), col_ptr)
+        """Per-column sorted row indices: the row supports of the transpose."""
+        return self.transpose().row_support
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseBinMatrix):

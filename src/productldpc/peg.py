@@ -108,17 +108,13 @@ class _Graph:
     @classmethod
     def tanner(cls, H: SparseBinMatrix) -> "_Graph":
         """H's Tanner graph: variables 0..n-1, then checks n..n+m-1."""
-        n, m = H.cols, H.rows
-        checks = np.repeat(np.arange(m, dtype=np.int64), np.diff(H.indptr)) + n
-        ends = np.concatenate([H.indices, checks])
-        order = np.argsort(ends, kind="stable")
-        ends, others = ends[order], np.concatenate([checks, H.indices])[order]
-        del checks, order
-        degree = np.bincount(ends, minlength=n + m)
+        # Ascending neighbours: a variable's row of H^T, a check's row of H.
+        by_col = H.transpose()
+        degree = np.concatenate([by_col.row_weights(), H.row_weights()])
+        others = np.concatenate([by_col.indices + H.cols, H.indices])
         graph = cls(degree)
-        slot = np.arange(ends.size)
-        slot += (graph.indptr[:-1] - np.cumsum(degree) + degree)[ends]
-        graph.slots[slot] = others
+        start = graph.indptr[:-1] - np.cumsum(degree) + degree
+        graph.slots[np.arange(others.size) + np.repeat(start, degree)] = others
         graph.fill = degree
         return graph
 

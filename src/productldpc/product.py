@@ -52,7 +52,7 @@ class ProductCode:
         self.k = a.k * b.k
         # H_a checks only the k_b information rows, which the row code encodes; a
         # parity row's copy is redundant in the direct code and false in others.
-        hp1 = kron(SparseBinMatrix(b.k, b.n, np.arange(b.k)[:, None]), a.H)
+        hp1 = kron(SparseBinMatrix.from_dense(np.eye(b.k, b.n, dtype=np.uint8)), a.H)
         hp2 = vec_kron(b.H, table.to_matrix(), a.n)
         self.H = vstack([hp1, hp2])
         # Row q of the track map: the codeword indices of column-code word q.

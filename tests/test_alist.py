@@ -104,3 +104,22 @@ def test_product_alist_bytes_are_pinned(tmp_path, k, stages, perms, digest):
     path = tmp_path / "h.alist"
     write_alist(code.H, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the alist text of matrices with no rows, no columns, or
+# empty rows and columns; each must also read back unchanged.
+@pytest.mark.parametrize("m, digest", [
+    (SparseBinMatrix(0, 3, []),
+     "9c1eeca2fa210b4c5cab142a41e167e244da27f927efde60174ae1778ef117ef"),
+    (SparseBinMatrix(3, 0, [[], [], []]),
+     "a2da7291dad0446ac4673454cab955d23bae4cf6a18af672684cef519e7a7e2a"),
+    (SparseBinMatrix(0, 0, []),
+     "22dfb13c9ef09c69d8f19bd1f6468cd2de4b07c7dc7375bdeb43b17f644c00d2"),
+    (SparseBinMatrix(3, 4, [[0, 2], [], [2]]),
+     "16057a5f54fb1d1828dc17d2a7f6c467abfce80f01d55271534ab703df97fced"),
+], ids=["0x3", "3x0", "0x0", "empty-rows-and-columns"])
+def test_edge_shape_alist_bytes_are_pinned(tmp_path, m, digest):
+    path = tmp_path / "m.alist"
+    write_alist(m, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert read_alist(path) == m

@@ -118,6 +118,12 @@ class TestSparseBinMatrix:
     @given(_dense())
     def test_col_support_is_transpose(self, d):
         m = SparseBinMatrix.from_dense(d)
+        t = m.transpose()
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+        assert np.array_equal(t.to_dense(), d.T)
+        assert t.transpose() == m
+        assert t.indptr.dtype == np.int64 and t.indices.dtype == np.int32
+        assert not t.indptr.flags.writeable and not t.indices.flags.writeable
         assert [sup.tolist() for sup in m.col_support()] == _supports(d.T)
 
     @PROPERTY

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
@@ -287,6 +287,55 @@ def test_product_graphs_pad_their_rows():
     for spec in ("spc:3", "mscmpc:5:3,4", "mscmpc:81:9,10"):
         comp = parse_component_spec(spec)
         assert _Graph.tanner(build_hp(comp, comp).H).rows is not None
+
+
+def _check_slots(graph: _Graph, nbrs: list) -> None:
+    """Node v's first fill[v] slots are nbrs[v], in ascending order, and
+    every free slot holds v."""
+    assert graph.fill.tolist() == [len(x) for x in nbrs]
+    for v, x in enumerate(nbrs):
+        own = graph.slots[graph.indptr[v] : graph.indptr[v + 1]].tolist()
+        assert own == x + [v] * (len(own) - len(x))
+
+
+def _check_tanner(dense: np.ndarray, firsts) -> _Graph:
+    """_Graph.tanner's slots against a dense reference, then after
+    keep_below(first) on a fresh graph for each first in firsts: the
+    edges whose ends both lie below first stay, in the same order."""
+    m, n = dense.shape
+    H = SparseBinMatrix.from_dense(dense)
+    nbrs = ([(n + np.flatnonzero(col)).tolist() for col in dense.T]
+            + [np.flatnonzero(row).tolist() for row in dense])
+    graph = _Graph.tanner(H)
+    _check_slots(graph, nbrs)
+    for first in firsts:
+        kept = _Graph.tanner(H)
+        kept.keep_below(first)
+        _check_slots(kept, [[u for u in x if u < first] if v < first else []
+                            for v, x in enumerate(nbrs)])
+    return graph
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tanner(), st.data())
+def test_tanner_slots_in_padded_rows_match_dense(dense, data):
+    m, n = dense.shape
+    graph = _check_tanner(dense, [data.draw(st.integers(0, n + m), label="first")])
+    assume(graph.rows is not None)
+    assert graph.rows.base is graph.slots
+    assert graph.rows.shape == (n + m, graph.indptr[1])
+
+
+def test_tanner_slots_in_csr_match_dense():
+    # One check on all 40 variables beside 20 checks of degree 4.
+    n, m = 40, 21
+    dense = np.zeros((m, n), dtype=np.uint8)
+    dense[0] = 1
+    dense[1 + np.arange(n) % 20, np.arange(n)] = 1
+    dense[1 + (np.arange(n) + 1) % 20, np.arange(n)] = 1
+    graph = _check_tanner(dense, [0, n, n + 1, n + 11, n + m])
+    assert graph.rows is None
+    assert np.array_equal(np.diff(graph.indptr), graph.fill)
 
 
 def test_girth_memory_stays_linear_in_the_edges():
