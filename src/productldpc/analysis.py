@@ -3,7 +3,11 @@
 Small codes are enumerated exhaustively by meet in the middle: the
 codewords spanned by the low and by the high half of the generator rows
 are tabulated as packed 64-bit words, and every (high, low) pair is
-XORed and weighed with a popcount, a block of pairs at a time.
+XORed and weighed with a popcount, a block of pairs at a time.  The high
+rows are dealt out to one lane per usable CPU (gf2._in_lanes), threads
+whose block buffers together take what one serial block takes, and the
+lanes' histograms are summed in lane order, so the counts never depend
+on the number of CPUs.
 The low-weight terms of any code come from one counting pass over the
 pairs of its parity-check columns, which is what drives
 minimum-distance and error-floor numbers for sizes far beyond
@@ -22,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf2 import check_int
+from .gf2 import _in_lanes, check_int
 
 EXHAUSTIVE_K_LIMIT = 28
 # (high, low) pairs weighed per block: fixes the block buffers at a few MB.
@@ -139,7 +143,7 @@ def exhaustive_spectrum(code) -> WeightSpectrum:
     combination of the high floor(k/2) rows; blocks of high combinations
     are XORed against the whole low table one 64-bit word at a time,
     the per-word popcounts summed into weights and the weights
-    histogrammed.
+    histogrammed, in one lane per usable CPU.
     """
     if code.k > EXHAUSTIVE_K_LIMIT:
         raise ValueError(
@@ -151,21 +155,29 @@ def exhaustive_spectrum(code) -> WeightSpectrum:
     low = np.ascontiguousarray(_span(gens[:split]).T)  # (W, 2^split)
     high = _span(gens[split:])
     rows = max(1, _PAIRS_PER_BLOCK // low.shape[1])
-    xor = np.empty((rows, low.shape[1]), dtype=np.uint64)
-    pop = np.empty(xor.shape, dtype=np.uint8)
-    # The weight reaches n, so the accumulator must hold n (uint8 would
-    # wrap for n > 255).
-    weight = np.empty(xor.shape, dtype=np.min_scalar_type(code.n))
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for start in range(0, len(high), rows):
-        block = high[start : start + rows]
-        b = len(block)
-        weight[:b] = 0
-        for word in range(low.shape[0]):
-            np.bitwise_xor(block[:, word, None], low[word], out=xor[:b])
-            np.bitwise_count(xor[:b], out=pop[:b])
-            np.add(weight[:b], pop[:b], out=weight[:b])
-        counts += np.bincount(weight[:b].ravel(), minlength=code.n + 1)
+
+    def weigh(share: slice, lanes: int) -> np.ndarray:
+        mine = high[share]
+        # The lanes' blocks together take what one serial block takes.
+        size = -(-rows // lanes)
+        xor = np.empty((size, low.shape[1]), dtype=np.uint64)
+        pop = np.empty(xor.shape, dtype=np.uint8)
+        # The weight reaches n, so the accumulator must hold n (uint8
+        # would wrap for n > 255).
+        weight = np.empty(xor.shape, dtype=np.min_scalar_type(code.n))
+        counts = np.zeros(code.n + 1, dtype=np.int64)
+        for start in range(0, len(mine), size):
+            block = mine[start : start + size]
+            b = len(block)
+            weight[:b] = 0
+            for word in range(low.shape[0]):
+                np.bitwise_xor(block[:, word, None], low[word], out=xor[:b])
+                np.bitwise_count(xor[:b], out=pop[:b])
+                np.add(weight[:b], pop[:b], out=weight[:b])
+            counts += np.bincount(weight[:b].ravel(), minlength=code.n + 1)
+        return counts
+
+    counts = sum(_in_lanes(weigh, len(high), rows))
     return WeightSpectrum(
         n=code.n,
         k=code.k,

@@ -69,7 +69,12 @@ def _parse_ebn0(text: str) -> list:
 
 def _build_code(comp_a: str, comp_b: str, perms_path) -> ProductCode:
     a, b = parse_component_spec(comp_a), parse_component_spec(comp_b)
-    return ProductCode(a, b, None if perms_path is None else load_permutation_array(perms_path))
+    try:
+        return ProductCode(a, b, None if perms_path is None else load_permutation_array(perms_path))
+    except MemoryError as exc:
+        raise MemoryError(
+            f"building the {comp_a} x {comp_b} product code (n={a.n * b.n}): {exc}"
+        ) from None
 
 
 def _meta(**params) -> dict:
@@ -77,9 +82,10 @@ def _meta(**params) -> dict:
 
 
 class _OneLineErrors(click.Group):
-    """A command group whose commands report bad input, missing files
-    and missing keys as one ``error:`` line on stderr, with exit status 1,
-    and bad flags the same way, with click's exit status 2."""
+    """A command group whose commands report bad input, missing files,
+    missing keys and running out of memory as one ``error:`` line on
+    stderr, with exit status 1, and bad flags the same way, with click's
+    exit status 2."""
 
     def invoke(self, ctx):
         try:
@@ -89,6 +95,10 @@ class _OneLineErrors(click.Group):
             sys.exit(exc.exit_code)
         except (ValueError, OSError, KeyError) as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        except MemoryError as exc:
+            detail = f": {exc}" if str(exc) else ""
+            click.echo(f"error: out of memory in {ctx.invoked_subcommand}{detail}", err=True)
             sys.exit(1)
 
 

@@ -7,12 +7,15 @@ columns.  Bit vectors cross the module boundary as 0/1 integer arrays;
 any packed representation (e.g. for rank elimination) stays internal.
 
 The module imports nothing from the package, so it is also the home of
-``check_int``, the count check that every layer applies to its inputs.
+what every layer shares: ``check_int``, the count check applied to
+inputs, and ``_in_lanes``, which splits independent work over the CPUs.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,6 +28,31 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_lanes(task, items: int, grain: int) -> list:
+    """[task(share, lanes) for each lane], in lane order.
+
+    range(items) is dealt out round robin, lane i taking the items
+    slice(i, None, lanes), to one lane per usable CPU but to no more
+    lanes than there are runs of `grain` items.  The lanes are threads,
+    which numpy's bulk operations let overlap.  With one lane the task
+    runs inline and no pool starts.
+    """
+    lanes = max(1, min(_cpus(), -(-items // grain)))
+    if lanes == 1:
+        return [task(slice(None), 1)]
+    with ThreadPoolExecutor(lanes) as pool:
+        shares = [slice(lane, None, lanes) for lane in range(lanes)]
+        return list(pool.map(task, shares, [lanes] * lanes))
 
 
 def _row_ids(indptr: np.ndarray) -> np.ndarray:

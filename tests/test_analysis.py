@@ -312,3 +312,17 @@ class TestSerialization:
         path = tmp_path / "spec.json"
         save_spectrum(exhaustive_spectrum(ProductCode(comp5, comp5, table)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("perms", [None, "perms_mscmpc5_seed1.json"],
+                             ids=["direct-144", "interleaved-144"])
+    def test_spectrum_is_the_same_in_any_number_of_lanes(self, lanes, comp5, perms):
+        # 4,096 high rows in blocks of 32: three lanes take 1,366, 1,365
+        # and 1,365 rows, in blocks of 11 with a partial last one.
+        table = None if perms is None else load_permutation_array(DATA / perms)
+        code = ProductCode(comp5, comp5, table)
+        runs = []
+        for cpus in (1, 2, 3):
+            pools = lanes(cpus)
+            runs.append(exhaustive_spectrum(code).counts)
+            assert pools == ([] if cpus == 1 else [cpus])
+        assert runs[0] == runs[1] == runs[2]

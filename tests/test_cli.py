@@ -1,6 +1,11 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import click
 import numpy as np
@@ -25,7 +30,9 @@ def test_unknown_subcommand_exits_2(runner):
     (ValueError("bad input"), "error: bad input"),
     (OSError("no such file"), "error: no such file"),
     (KeyError("n"), "error: 'n'"),
-], ids=["value", "os", "key"])
+    (MemoryError("no room"), "error: out of memory in fail: no room"),
+    (MemoryError(), "error: out of memory in fail"),
+], ids=["value", "os", "key", "memory", "bare-memory"])
 def test_any_command_reports_errors_on_one_line(runner, monkeypatch, exc, line):
     # A command added to the group gets the same boundary as the built-in ones.
     @click.command()
@@ -36,6 +43,30 @@ def test_any_command_reports_errors_on_one_line(runner, monkeypatch, exc, line):
     result = runner.invoke(main, ["fail"])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert result.output.strip() == line
+
+
+def test_out_of_memory_is_one_line(tmp_path):
+    # The address-space limit holds in the child alone.  The direct
+    # spc:30000 square asks for a 6.7 GiB permutation table at once, so
+    # the run fails in about 0.15 s instead of building anything.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "h.alist"
+    result = subprocess.run(
+        [sys.executable, "-m", "productldpc.cli", "construct", "--comp-a", "spc:30000",
+         "--comp-b", "spc:30000", "--out", str(out)],
+        preexec_fn=limit, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("error: out of memory in construct: building the "
+                               "spc:30000 x spc:30000 product code (n=900060001): ")
+    assert not out.exists()
 
 
 def test_bad_component_spec_exits_1(runner, tmp_path):

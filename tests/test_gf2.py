@@ -12,7 +12,7 @@ from productldpc import (
     syndrome,
     vec_kron,
 )
-from productldpc.gf2 import vstack
+from productldpc.gf2 import _in_lanes, vstack
 
 
 def dense_rank_gf2(a):
@@ -377,3 +377,28 @@ def test_content_equal_values_are_unhashable(make):
     assert a == b
     with pytest.raises(TypeError):
         hash(a)
+
+
+@pytest.mark.parametrize("cpus, items, grain, shares, pools", [
+    (3, 10, 2, [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]], [3]),
+    (3, 4, 2, [[0, 2], [1, 3]], [2]),  # no more lanes than runs of grain items
+    (8, 3, 4, [[0, 1, 2]], []),  # one lane runs inline
+    (1, 10, 1, [list(range(10))], []),
+])
+def test_in_lanes_deals_items_round_robin(lanes, cpus, items, grain, shares, pools):
+    started = lanes(cpus)
+    got = _in_lanes(lambda share, count: (list(range(items))[share], count), items, grain)
+    assert got == [(share, len(shares)) for share in shares]
+    assert started == pools
+
+
+def test_in_lanes_passes_a_lane_failure_on(lanes):
+    lanes(2)
+
+    def task(share, count):
+        if share.start == 1:
+            raise MemoryError("lane 1")
+        return share
+
+    with pytest.raises(MemoryError, match="lane 1"):
+        _in_lanes(task, 4, 1)

@@ -24,7 +24,7 @@ from productldpc import (
     parse_component_spec,
 )
 from productldpc.peg import _PASS_GROUPS, _Graph, _labelled_bfs
-from productldpc.product import save_permutation_array
+from productldpc.product import load_permutation_array, save_permutation_array
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "data" / "perms_mscmpc81_seed1.json"
 
@@ -130,12 +130,13 @@ def test_local_girth_matches_edge_removal_oracle(dense):
 
 @pytest.mark.parametrize("code", ["direct", "interleaved"])
 def test_local_girth_over_several_passes_matches_oracle(code, comp5, pc144):
-    # 144 roots: four full passes of 32 and a partial fifth
+    # 119 check roots: three full passes of 32 and a partial fourth in one lane
     if code == "direct":
         h = pc144.H
     else:
         h = build_hp_interleaved(comp5, comp5, design_generic(comp5, comp5, seed=0)).H
-    assert h.cols > 4 * _PASS_GROUPS and h.cols % _PASS_GROUPS
+    roots = np.count_nonzero(h.row_weights() >= 2)
+    assert roots > _PASS_GROUPS and roots % _PASS_GROUPS
     report = local_girth(h)
     assert report.per_variable_local_girth.tolist() == _girth_oracle(h.to_dense())
 
@@ -190,14 +191,16 @@ def _block(n, m, nb, mb, edges):
 
 
 def _bfs_oracle(n_nodes, edges, sources, wall):
-    """scipy distances from the nearest source and least source-to-source
-    distance, in the graph without the wall node."""
+    """scipy distances from the nearest source, least source-to-source
+    distance and each source's least distance to another source, in the
+    graph without the wall node."""
     kept = [(u, v) for u, v in edges if wall not in (u, v)]
     u, v = np.array(kept, dtype=int).reshape(-1, 2).T
     adj = csr_matrix((np.ones(len(kept)), (u, v)), shape=(n_nodes, n_nodes))
     d = shortest_path(adj, directed=False, unweighted=True, indices=sources)
-    pair = d[:, sources][~np.eye(len(sources), dtype=bool)]
-    return d.min(axis=0), (pair.min() if pair.size else math.inf)
+    pair = np.where(np.eye(len(sources), dtype=bool), np.inf, d[:, sources])
+    each = pair.min(axis=1, initial=np.inf)
+    return d.min(axis=0), each.min(initial=np.inf), each
 
 
 # Checks 8, 9, 10, 11 joined in a path by variables 0, 1, 2; a branch
@@ -245,11 +248,16 @@ def test_labelled_bfs_matches_scipy_shortest_paths(case, design):
     walls = [g[1] for g in groups]
     design = design and block is not None
     targets, share = block if design else (None, None)
+    ends = np.cumsum([len(src) for src in sources])
     for _ in range(2):  # the second call finds the state the first left
-        found, pair_meet = _labelled_bfs(graph, sources, walls, targets, share)
+        found, pair_meet, meets = _labelled_bfs(graph, sources, walls, targets, share)
+        assert (meets is None) == design
         for g, (src, wall) in enumerate(groups):
-            dist, meet = _bfs_oracle(n_nodes, edges, src, wall)
+            dist, meet, each = _bfs_oracle(n_nodes, edges, src, wall)
             assert pair_meet[g] == meet
+            if not design:
+                # every source's own least distance, and pair_meet the least of them
+                assert meets[ends[g] - len(src) : ends[g]].tolist() == each.tolist()
             if design:
                 # exact where the design reads, never wrong elsewhere
                 dist = dist[targets]
@@ -278,9 +286,59 @@ def test_labelled_bfs_on_a_star_matches_scipy(n):
         graph.add_edge(u, v)
     groups, walls = [[n + 1, n + 2], [n, n + 3], [n + 4, n + 5, n]], [-1, 2, 3]
     for batch in ([0], [0, 1, 2]):
-        _, pair_meet = _labelled_bfs(graph, [groups[g] for g in batch], [walls[g] for g in batch])
+        _, pair_meet, _ = _labelled_bfs(graph, [groups[g] for g in batch],
+                                        [walls[g] for g in batch])
         assert pair_meet.tolist() == [_bfs_oracle(n_nodes, edges, groups[g], walls[g])[1]
                                       for g in batch]
+
+
+def _star_dense(n):
+    """_star(n) as H: check 0 on all n variables, check 1 + v on variable v."""
+    return np.vstack([np.ones((1, n), dtype=np.uint8), np.eye(n, dtype=np.uint8)])
+
+
+def _cycle_through(dense, c, v):
+    """Shortest cycle through the edge between check c and variable v:
+    1 + the BFS distance from v back to c without that edge."""
+    m, n = dense.shape
+    adj = {("v", j): [("c", i) for i in range(m) if dense[i, j]] for j in range(n)}
+    adj.update({("c", i): [("v", j) for j in range(n) if dense[i, j]] for i in range(m)})
+    ends = {("c", c), ("v", v)}
+    dist, queue = {("v", v): 0}, deque([("v", v)])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in dist and {x, y} != ends:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist[("c", c)] + 1 if ("c", c) in dist else math.inf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tanner(), st.data())
+@example(_star_dense(5), None)
+@example(_star_dense(8), None)
+@example(np.ones((3, 3), dtype=np.uint8), None)
+def test_each_meet_gives_the_shortest_cycle_through_its_edge(dense, data):
+    # Root check c, walled off, with its variables for sources: source v's
+    # meet + 2 is the shortest cycle through edge (c, v), by edge removal.
+    # The Tanner graph pads its rows, and cuts the variables' rows to
+    # var_rows, or keeps CSR slots: the 5-star pads and the 8-star does not.
+    m, n = dense.shape
+    graph = _Graph.tanner(SparseBinMatrix.from_dense(dense))
+    if data is None:
+        roots = list(range(m))
+        assert (graph.rows is None) == (n == 8)
+    else:
+        roots = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4, unique=True))
+    sources = [np.flatnonzero(dense[c]) for c in roots]
+    ends = np.cumsum([len(src) for src in sources])
+    _, pair_meet, meets = _labelled_bfs(graph, sources, [n + c for c in roots])
+    for g, c in enumerate(roots):
+        got = meets[ends[g] - len(sources[g]) : ends[g]] + 2
+        want = [_cycle_through(dense, c, v) for v in np.flatnonzero(dense[c])]
+        assert got.tolist() == want
+        assert pair_meet[g] == min(want, default=math.inf) - 2
 
 
 def test_product_graphs_pad_their_rows():
@@ -356,6 +414,21 @@ def test_girth_memory_stays_linear_in_the_edges():
         tracemalloc.stop()
     assert report.histogram == {4.0: n}
     assert peak < 16 * 2**20
+
+
+def test_local_girth_is_the_same_in_any_number_of_lanes(lanes, comp5, pc144):
+    # Three lanes split 119 and 3,439 check roots unevenly, in calls of
+    # 11 groups with a partial last one.
+    comp81 = build_mscmpc(81, [9, 10])
+    codes = [pc144, build_hp_interleaved(comp5, comp5, design_generic(comp5, comp5, seed=0)),
+             build_hp_interleaved(comp81, comp81, load_permutation_array(FIXTURE))]
+    for code in codes:
+        runs = []
+        for cpus in (1, 2, 3):
+            pools = lanes(cpus)
+            runs.append(local_girth(code.H).per_variable_local_girth)
+            assert pools == ([] if cpus == 1 else [cpus])
+        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
 
 
 class TestFullSize:

@@ -307,7 +307,7 @@ def test_shared_check_read_off_matches_the_reference(spare):
         incidence[c - 11, v - 2] = 1
     targets, share = np.arange(2, 10), incidence.T @ incidence > 0
     sources = [[11, 15], [11, 14, 10], [12, 16]]
-    found, pair_meet = peg._labelled_bfs(graph, sources, targets=targets, share=share)
+    found, pair_meet, _ = peg._labelled_bfs(graph, sources, targets=targets, share=share)
     want, want_meet = _labelled_bfs(reference, sources, targets=targets)
     assert pair_meet.tolist() == want_meet.tolist() == [8, 6, 4]
     assert np.array_equal(found, want)
