@@ -43,16 +43,16 @@ def _in_lanes(task, items: int, grain: int) -> list:
 
     range(items) is dealt out round robin, lane i taking the items
     slice(i, None, lanes), to one lane per usable CPU but to no more
-    lanes than there are runs of `grain` items.  The lanes are threads,
-    which numpy's bulk operations let overlap.  With one lane the task
-    runs inline and no pool starts.
+    lanes than there are runs of `grain` items.  Lane 0 runs on the
+    calling thread and the others on a pool of threads, which numpy's
+    bulk operations let overlap; with one lane no pool starts.
     """
     lanes = max(1, min(_cpus(), -(-items // grain)))
     if lanes == 1:
         return [task(slice(None), 1)]
-    with ThreadPoolExecutor(lanes) as pool:
-        shares = [slice(lane, None, lanes) for lane in range(lanes)]
-        return list(pool.map(task, shares, [lanes] * lanes))
+    with ThreadPoolExecutor(lanes - 1) as pool:
+        rest = [pool.submit(task, slice(lane, None, lanes), lanes) for lane in range(1, lanes)]
+        return [task(slice(0, None, lanes), lanes)] + [lane.result() for lane in rest]
 
 
 def _row_ids(indptr: np.ndarray) -> np.ndarray:

@@ -29,7 +29,8 @@ def rng():
 @pytest.fixture()
 def lanes(monkeypatch):
     """set_cpus(c) makes gf2 see c usable CPUs and returns the list to
-    which every thread pool the lanes start appends its size."""
+    which every thread pool the lanes start appends its size, one less
+    than the lanes, since lane 0 runs on the calling thread."""
     pools = []
 
     class Pool(ThreadPoolExecutor):

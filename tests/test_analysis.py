@@ -324,5 +324,5 @@ class TestSerialization:
         for cpus in (1, 2, 3):
             pools = lanes(cpus)
             runs.append(exhaustive_spectrum(code).counts)
-            assert pools == ([] if cpus == 1 else [cpus])
+            assert pools == ([] if cpus == 1 else [cpus - 1])
         assert runs[0] == runs[1] == runs[2]

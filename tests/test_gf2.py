@@ -380,8 +380,8 @@ def test_content_equal_values_are_unhashable(make):
 
 
 @pytest.mark.parametrize("cpus, items, grain, shares, pools", [
-    (3, 10, 2, [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]], [3]),
-    (3, 4, 2, [[0, 2], [1, 3]], [2]),  # no more lanes than runs of grain items
+    (3, 10, 2, [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]], [2]),  # lane 0 on this thread
+    (3, 4, 2, [[0, 2], [1, 3]], [1]),  # no more lanes than runs of grain items
     (8, 3, 4, [[0, 1, 2]], []),  # one lane runs inline
     (1, 10, 1, [list(range(10))], []),
 ])
@@ -392,13 +392,14 @@ def test_in_lanes_deals_items_round_robin(lanes, cpus, items, grain, shares, poo
     assert started == pools
 
 
-def test_in_lanes_passes_a_lane_failure_on(lanes):
+@pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "pool"])
+def test_in_lanes_passes_a_lane_failure_on(lanes, failing):
     lanes(2)
 
     def task(share, count):
-        if share.start == 1:
-            raise MemoryError("lane 1")
+        if share.start == failing:
+            raise MemoryError(f"lane {failing}")
         return share
 
-    with pytest.raises(MemoryError, match="lane 1"):
+    with pytest.raises(MemoryError, match=f"lane {failing}"):
         _in_lanes(task, 4, 1)
