@@ -69,8 +69,9 @@ def _parse_ebn0(text: str) -> list:
 
 def _build_code(comp_a: str, comp_b: str, perms_path) -> ProductCode:
     a, b = parse_component_spec(comp_a), parse_component_spec(comp_b)
+    table = None if perms_path is None else load_permutation_array(perms_path)
     try:
-        return ProductCode(a, b, None if perms_path is None else load_permutation_array(perms_path))
+        return ProductCode(a, b, table)
     except MemoryError as exc:
         raise MemoryError(
             f"building the {comp_a} x {comp_b} product code (n={a.n * b.n}): {exc}"

@@ -80,29 +80,33 @@ class TestLocalGirth:
         assert [type(v) for v in hist.values()] == [int] * 3
 
 
-def _girth_oracle(dense: np.ndarray) -> list:
-    """Shortest cycle through each variable: the least, over its edges
-    (v, c), of 1 + the BFS distance from c back to v without that edge."""
+def _adjacency(dense: np.ndarray) -> dict:
     m, n = dense.shape
     adj = {("v", j): [("c", i) for i in range(m) if dense[i, j]] for j in range(n)}
     adj.update({("c", i): [("v", j) for j in range(n) if dense[i, j]] for i in range(m)})
-    girths = []
-    for j in range(n):
-        root = ("v", j)
-        best = math.inf
-        for c in adj[root]:
-            dist = {c: 0}
-            queue = deque([c])
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if y not in dist and {x, y} != {c, root}:
-                        dist[y] = dist[x] + 1
-                        queue.append(y)
-            if root in dist:
-                best = min(best, dist[root] + 1)
-        girths.append(best)
-    return girths
+    return adj
+
+
+def _cycle_through(adj: dict, c, v) -> float:
+    """Shortest cycle through the edge (v, c): 1 + the BFS distance from c
+    back to v without that edge."""
+    dist = {c: 0}
+    queue = deque([c])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in dist and {x, y} != {c, v}:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist[v] + 1 if v in dist else math.inf
+
+
+def _girth_oracle(dense: np.ndarray) -> list:
+    """Shortest cycle through each variable: the least, over its edges,
+    of the shortest cycle through the edge."""
+    adj = _adjacency(dense)
+    return [min((_cycle_through(adj, c, ("v", j)) for c in adj[("v", j)]), default=math.inf)
+            for j in range(dense.shape[1])]
 
 
 @st.composite
@@ -297,23 +301,6 @@ def _star_dense(n):
     return np.vstack([np.ones((1, n), dtype=np.uint8), np.eye(n, dtype=np.uint8)])
 
 
-def _cycle_through(dense, c, v):
-    """Shortest cycle through the edge between check c and variable v:
-    1 + the BFS distance from v back to c without that edge."""
-    m, n = dense.shape
-    adj = {("v", j): [("c", i) for i in range(m) if dense[i, j]] for j in range(n)}
-    adj.update({("c", i): [("v", j) for j in range(n) if dense[i, j]] for i in range(m)})
-    ends = {("c", c), ("v", v)}
-    dist, queue = {("v", v): 0}, deque([("v", v)])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in dist and {x, y} != ends:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist[("c", c)] + 1 if ("c", c) in dist else math.inf
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_tanner(), st.data())
 @example(_star_dense(5), None)
@@ -334,9 +321,10 @@ def test_each_meet_gives_the_shortest_cycle_through_its_edge(dense, data):
     sources = [np.flatnonzero(dense[c]) for c in roots]
     ends = np.cumsum([len(src) for src in sources])
     _, pair_meet, meets = _labelled_bfs(graph, sources, [n + c for c in roots])
+    adj = _adjacency(dense)
     for g, c in enumerate(roots):
         got = meets[ends[g] - len(sources[g]) : ends[g]] + 2
-        want = [_cycle_through(dense, c, v) for v in np.flatnonzero(dense[c])]
+        want = [_cycle_through(adj, ("c", c), ("v", v)) for v in sources[g].tolist()]
         assert got.tolist() == want
         assert pair_meet[g] == min(want, default=math.inf) - 2
 
