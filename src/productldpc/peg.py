@@ -82,10 +82,10 @@ _WALL = -2
 # among its lanes, and permutation rows in the circulant design.  A
 # call's state is three int32 arrays of groups * n_nodes entries (0.4 MB
 # per thousand nodes at 32).  On the (10000,6561) codes, warm, one lane
-# takes 100-113 ms a code for 16 to 128 roots per call and 117-127 for
+# takes 99-118 ms a code for 16 to 128 roots per call and 117-127 for
 # 8.  Two lanes of 16 take 86-92 ms; two of 32 take 68-73 ms warm, but
 # no less in the benchmark's cold first call, where they raised
-# code-design's peak RSS by 3-5 % against 2-3 % (2 cores).
+# code-design's peak RSS by 3.5-5.8 % against 1.8-3.3 % (2 cores).
 _PASS_GROUPS = 32
 
 # A graph gets padded rows while its largest capacity is at most this
