@@ -5,9 +5,9 @@ codewords spanned by the low and by the high half of the generator rows
 are tabulated as packed 64-bit words, and every (high, low) pair is
 XORed and weighed with a popcount, a block of pairs at a time.  The high
 rows are dealt out to one lane per usable CPU (gf2._in_lanes), threads
-whose block buffers together take what one serial block takes, and the
-lanes' histograms are summed in lane order, so the counts never depend
-on the number of CPUs.
+whose blocks of the run size _in_lanes gives them together take what one
+serial block takes, and the lanes' histograms are summed in lane order,
+so the counts never depend on the number of CPUs.
 The low-weight terms of any code come from one counting pass over the
 pairs of its parity-check columns, which is what drives
 minimum-distance and error-floor numbers for sizes far beyond
@@ -156,25 +156,17 @@ def exhaustive_spectrum(code) -> WeightSpectrum:
     high = _span(gens[split:])
     rows = max(1, _PAIRS_PER_BLOCK // low.shape[1])
 
-    def weigh(share: slice, lanes: int) -> np.ndarray:
+    def weigh(share: slice, size: int) -> np.ndarray:
         mine = high[share]
-        # The lanes' blocks together take what one serial block takes.
-        size = -(-rows // lanes)
-        xor = np.empty((size, low.shape[1]), dtype=np.uint64)
-        pop = np.empty(xor.shape, dtype=np.uint8)
-        # The weight reaches n, so the accumulator must hold n (uint8
-        # would wrap for n > 255).
-        weight = np.empty(xor.shape, dtype=np.min_scalar_type(code.n))
         counts = np.zeros(code.n + 1, dtype=np.int64)
         for start in range(0, len(mine), size):
             block = mine[start : start + size]
-            b = len(block)
-            weight[:b] = 0
+            # The weight reaches n, so the accumulator must hold n (uint8
+            # would wrap for n > 255).
+            weight = np.zeros((len(block), low.shape[1]), dtype=np.min_scalar_type(code.n))
             for word in range(low.shape[0]):
-                np.bitwise_xor(block[:, word, None], low[word], out=xor[:b])
-                np.bitwise_count(xor[:b], out=pop[:b])
-                np.add(weight[:b], pop[:b], out=weight[:b])
-            counts += np.bincount(weight[:b].ravel(), minlength=code.n + 1)
+                weight += np.bitwise_count(block[:, word, None] ^ low[word])
+            counts += np.bincount(weight.ravel(), minlength=code.n + 1)
         return counts
 
     counts = sum(_in_lanes(weigh, len(high), rows))

@@ -39,20 +39,24 @@ def _cpus() -> int:
 
 
 def _in_lanes(task, items: int, grain: int) -> list:
-    """[task(share, lanes) for each lane], in lane order.
+    """[task(share, run) for each lane], in lane order.
 
-    range(items) is dealt out round robin, lane i taking the items
-    slice(i, None, lanes), to one lane per usable CPU but to no more
-    lanes than there are runs of `grain` items.  Lane 0 runs on the
-    calling thread and the others on a pool of threads, which numpy's
-    bulk operations let overlap; with one lane no pool starts.
+    A lane is one thread that takes a round-robin share of independent
+    work: range(items) is dealt out to one lane per usable CPU but to no
+    more lanes than there are runs of `grain` items, lane i taking the
+    items slice(i, None, lanes).  Each lane works its share in runs of
+    ceil(grain / lanes) items, so the lanes' runs together hold what one
+    serial run of `grain` holds.  Lane 0 runs on the calling thread and
+    the others on a pool of threads, which numpy's bulk operations let
+    overlap; with one lane no pool starts.
     """
     lanes = max(1, min(_cpus(), -(-items // grain)))
+    run = -(-grain // lanes)
     if lanes == 1:
-        return [task(slice(None), 1)]
+        return [task(slice(None), run)]
     with ThreadPoolExecutor(lanes - 1) as pool:
-        rest = [pool.submit(task, slice(lane, None, lanes), lanes) for lane in range(1, lanes)]
-        return [task(slice(0, None, lanes), lanes)] + [lane.result() for lane in rest]
+        rest = [pool.submit(task, slice(lane, None, lanes), run) for lane in range(1, lanes)]
+        return [task(slice(0, None, lanes), run)] + [lane.result() for lane in rest]
 
 
 def _row_ids(indptr: np.ndarray) -> np.ndarray:

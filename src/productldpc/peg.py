@@ -80,12 +80,12 @@ _WALL = -2
 
 # Groups per _labelled_bfs call: check roots in local_girth, shared out
 # among its lanes, and permutation rows in the circulant design.  A
-# call's state is three int32 arrays of groups * n_nodes entries (0.4 MB
-# per thousand nodes at 32).  On the (10000,6561) codes, warm, one lane
-# takes 99-118 ms a code for 16 to 128 roots per call and 117-127 for
-# 8.  Two lanes of 16 take 86-92 ms; two of 32 take 68-73 ms warm, but
-# no less in the benchmark's cold first call, where they raised
-# code-design's peak RSS by 3.5-5.8 % against 1.8-3.3 % (2 cores).
+# call's state is one int32 array of groups * n_nodes entries, about
+# 0.13 MB per thousand nodes at 32.  On the (10000,6561) codes, warm,
+# one lane took 99-118 ms a code for 16 to 128 roots per call and
+# 117-127 for 8, with a state three times this size (2 cores).  In
+# code-design's cold run on 2 cores, 64 groups took the girth from 0.174
+# to 0.153 s and raised peak RSS by 0.6 %.
 _PASS_GROUPS = 32
 
 # A graph gets padded rows while its largest capacity is at most this
@@ -105,9 +105,8 @@ class _Graph:
     otherwise `rows` is None.  A Tanner graph's variables 0..n_vars-1
     have at most var_rows.shape[1] edges, so their rows are read through
     var_rows, which drops the free slots past that; other graphs have
-    n_vars = 0.  Plus the state _labelled_bfs reuses: a label per
-    (group, node), which is -1 between searches, and working distances
-    and stamps."""
+    n_vars = 0.  Plus the one array of search state that _labelled_bfs
+    reuses: a label per (group, node), which is -1 between searches."""
 
     def __init__(self, capacity) -> None:
         capacity = np.asarray(capacity, dtype=np.int64)
@@ -122,12 +121,12 @@ class _Graph:
         self.rows = self.slots.reshape(n, width) if padded else None
         self.fill = np.zeros(n, dtype=np.int64)
         self.n_vars, self.var_rows = 0, self.rows
-        self.label = self.dist = self.stamp = np.empty(0, dtype=np.int32)
+        self.label = np.empty(0, dtype=np.int32)
 
     def fork(self) -> "_Graph":
         """A graph on this one's slots with a search state of its own."""
         twin = copy.copy(self)
-        twin.label = twin.dist = twin.stamp = np.empty(0, dtype=np.int32)
+        twin.label = np.empty(0, dtype=np.int32)
         return twin
 
     @classmethod
@@ -177,20 +176,23 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
     frontier's padded rows (var_rows on the variable side), or of its
     CSR slots where the graph has no padded rows; a node's free row
     slots hold the node itself, which is labelled, so the fresh test
-    drops them.  The frontier writes its labels onto its fresh neighbours
-    by scatter and reads them back, and the next frontier is deduplicated
-    the same way with a position stamp.  A fresh node that reads back
-    another label than the one it was reached with was reached by two
-    labels from level L, which closes a path of length 2(L + 1) between
-    two sources: the two labels clash.  A node's label is always a source
-    at its exact distance, so a label clashes first at the level L where
-    2(L + 1) is its least distance to another source, its meet: not
-    earlier, since the path closed is never shorter, and not later, since
-    on a shortest path to the other source the nodes L, L + 1 and L steps
-    from its ends are reached at those levels, the first by the label
-    itself and the last by another, as any source nearer to them would
-    be nearer to it.  A group's pair_meet, the least distance between two
-    of its sources, is the least meet of its labels.
+    drops them.  The label table is the search's only state.  Each fresh
+    neighbour's slot first takes the position in the gathered neighbours
+    that reached it; the last writer wins, so reading the slots back
+    keeps one position per node, and the kept positions make the next
+    frontier, whose slots then take their positions' labels.  A node
+    that kept the position of another label than one that reached it was
+    reached by two labels from level L, which closes a path of length
+    2(L + 1) between two sources: the two labels clash.  A node's label
+    is always a source at its exact distance, so a label clashes first
+    at the level L where 2(L + 1) is its least distance to another
+    source, its meet: not earlier, since the path closed is never
+    shorter, and not later, since on a shortest path to the other source
+    the nodes L, L + 1 and L steps from its ends are reached at those
+    levels, the first by the label itself and the last by another, as
+    any source nearer to them would be nearer to it.  A group's
+    pair_meet, the least distance between two of its sources, is the
+    least meet of its labels.
 
     Without `targets` (girth) every label's meet is found.  A group keeps
     its whole frontier, since a label meets the others where they lie,
@@ -209,7 +211,11 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
     target is at the last odd level, L or L - 1.  Each level compares one
     integer, the least stop level of the groups still searching, and
     drops the stopped groups' nodes when it is reached.  Once every group
-    has its pair_meet, labels only mark nodes as reached.
+    has its pair_meet, labels only mark nodes as reached.  At the end of
+    a design search each level's index is written over that level's
+    frontier, so the targets' distances are read from the labels used:
+    a reached target holds its distance, an unreached one -1 and a wall
+    -2.
 
     Returns the targets' distances, shape (G, T) with -1 where not found,
     or None without targets; pair_meet, shape (G,), inf where no two
@@ -220,9 +226,7 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
     groups, n_nodes = len(sources), graph.n_nodes
     if graph.label.size < groups * n_nodes:
         graph.label = np.full(groups * n_nodes, -1, dtype=np.int32)
-        graph.dist = np.empty(groups * n_nodes, dtype=np.int32)
-        graph.stamp = np.empty(groups * n_nodes, dtype=np.int32)
-    label, dist, stamp = graph.label, graph.dist, graph.stamp
+    label = graph.label
     rows, slots, indptr, fill = graph.rows, graph.slots, graph.indptr, graph.fill
     if groups == 1:
         frontier = np.asarray(sources[0], dtype=np.int64)
@@ -233,14 +237,11 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
     # Labels are distinct over all groups, so distinct within each.
     labs = np.arange(frontier.size, dtype=np.int32)
     label[frontier] = labs
-    if targets is not None:
-        dist[frontier] = 0
-    visited = [frontier]
+    levels = [frontier]
     if walls is not None:
         walls = np.asarray(walls, dtype=np.int64)
         walls = (walls + np.arange(groups) * n_nodes)[walls >= 0]
         label[walls] = _WALL
-        visited.append(walls)
     meet = None
     if targets is None:
         meet = np.full(frontier.size, np.inf)
@@ -283,8 +284,8 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
                 labs = np.repeat(labs, deg)[fresh]
             nbrs = nbrs[fresh]
         pos = np.arange(nbrs.size, dtype=np.int32)
-        stamp[nbrs] = pos
-        winner = stamp[nbrs]
+        label[nbrs] = pos
+        winner = label[nbrs]
         first = winner == pos
         frontier = nbrs[first]
         if seeking and targets is None:
@@ -323,20 +324,21 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
         else:
             label[frontier] = 0
         level += 1
-        if targets is not None:
-            dist[frontier] = level
-        visited.append(frontier)
+        levels.append(frontier)
     found = None
     if targets is None:
         np.minimum.at(pair_meet, owner, meet)
     else:
+        for depth, nodes in enumerate(levels):
+            label[nodes] = depth
         targets = np.asarray(targets, dtype=np.int64)
         flat = targets if groups == 1 else (base[:, None] + targets).ravel()
-        lab = label[flat].reshape(groups, targets.size)
-        found = np.where(lab >= 0, dist[flat].reshape(lab.shape), -1)
-        near = ((lab >= 0) @ share) & (lab == -1)
-        found = np.where(near, (stop + 1 + stop % 2)[:, None], found)
-    label[np.concatenate(visited)] = -1
+        found = label[flat].reshape(groups, targets.size)
+        near = ((found >= 0) @ share) & (found == -1)
+        found = np.where(near, (stop + 1 + stop % 2)[:, None], np.maximum(found, -1))
+    if walls is not None:
+        levels.append(walls)
+    label[np.concatenate(levels)] = -1
     return found, pair_meet, meet
 
 
@@ -348,8 +350,8 @@ def local_girth(H: SparseBinMatrix) -> GirthReport:
     (c, v) is 2 plus v's meet.  A variable's local girth is the least
     over its edges.  The roots are dealt out to the lanes of
     gf2._in_lanes, each with a graph state of its own, and each lane
-    searches its roots in calls of _PASS_GROUPS / lanes groups, so the
-    lanes' states together take what one serial lane's would.
+    searches its roots in calls of the run size the lanes give it, so
+    the lanes' states together take what one serial lane's would.
     """
     if H.rows == 0 or H.cols == 0:
         raise ValueError("girth of an empty matrix is undefined")
@@ -357,10 +359,9 @@ def local_girth(H: SparseBinMatrix) -> GirthReport:
     slots, indptr, fill = graph.slots, graph.indptr, graph.fill
     roots = H.cols + np.flatnonzero(H.row_weights() >= 2)
 
-    def search(share: slice, lanes: int) -> list:
+    def search(share: slice, size: int) -> list:
         """(variables, meets) of each call on this lane's roots."""
         lane, mine = graph.fork(), roots[share]
-        size = -(-_PASS_GROUPS // lanes)
         calls = []
         for first in range(0, mine.size, size):
             batch = mine[first : first + size]
@@ -372,10 +373,9 @@ def local_girth(H: SparseBinMatrix) -> GirthReport:
     for calls in _in_lanes(search, roots.size, _PASS_GROUPS):
         for ends, meets in calls:
             np.minimum.at(local, ends, meets + 2)
-    finite = local[np.isfinite(local)]
     lengths, counts = np.unique(local, return_counts=True)
     return GirthReport(
-        global_girth=float(finite.min()) if finite.size else math.inf,
+        global_girth=float(local.min()),
         per_variable_local_girth=local,
         histogram=dict(zip(lengths.tolist(), counts.tolist())),
     )

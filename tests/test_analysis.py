@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -326,3 +327,19 @@ class TestSerialization:
             runs.append(exhaustive_spectrum(code).counts)
             assert pools == ([] if cpus == 1 else [cpus - 1])
         assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("perms", [None, "perms_mscmpc5_seed1.json"],
+                             ids=["direct-144", "interleaved-144"])
+    def test_spectrum_blocks_stay_at_a_few_mb(self, lanes, comp5, perms):
+        # _PAIRS_PER_BLOCK bounds the blocks in flight in all lanes together.
+        table = None if perms is None else load_permutation_array(DATA / perms)
+        code = ProductCode(comp5, comp5, table)
+        for cpus in (1, 2, 3):
+            lanes(cpus)
+            tracemalloc.start()
+            try:
+                exhaustive_spectrum(code)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * 2**20, (cpus, peak)

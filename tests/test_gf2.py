@@ -384,11 +384,14 @@ def test_content_equal_values_are_unhashable(make):
     (3, 4, 2, [[0, 2], [1, 3]], [1]),  # no more lanes than runs of grain items
     (8, 3, 4, [[0, 1, 2]], []),  # one lane runs inline
     (1, 10, 1, [list(range(10))], []),
+    # runs of 11: local_girth's calls of 32 groups split over three lanes
+    (3, 100, 32, [list(range(lane, 100, 3)) for lane in range(3)], [2]),
 ])
 def test_in_lanes_deals_items_round_robin(lanes, cpus, items, grain, shares, pools):
     started = lanes(cpus)
-    got = _in_lanes(lambda share, count: (list(range(items))[share], count), items, grain)
-    assert got == [(share, len(shares)) for share in shares]
+    got = _in_lanes(lambda share, run: (list(range(items))[share], run), items, grain)
+    # Each lane runs ceil(grain / lanes) items at a time: 1, 1, 4, 1 and 11.
+    assert got == [(share, -(-grain // len(shares))) for share in shares]
     assert started == pools
 
 
@@ -396,7 +399,7 @@ def test_in_lanes_deals_items_round_robin(lanes, cpus, items, grain, shares, poo
 def test_in_lanes_passes_a_lane_failure_on(lanes, failing):
     lanes(2)
 
-    def task(share, count):
+    def task(share, run):
         if share.start == failing:
             raise MemoryError(f"lane {failing}")
         return share

@@ -255,6 +255,7 @@ def test_labelled_bfs_matches_scipy_shortest_paths(case, design):
     ends = np.cumsum([len(src) for src in sources])
     for _ in range(2):  # the second call finds the state the first left
         found, pair_meet, meets = _labelled_bfs(graph, sources, walls, targets, share)
+        assert np.all(graph.label == -1)  # the search's only state, reset
         assert (meets is None) == design
         for g, (src, wall) in enumerate(groups):
             dist, meet, each = _bfs_oracle(n_nodes, edges, src, wall)

@@ -314,3 +314,19 @@ def test_shared_check_read_off_matches_the_reference(spare):
     assert found.tolist() == [[1, 3, 3, 1, 1, 3, 5, 7],
                               [1, 3, 1, 1, 1, 3, 5, -1],
                               [1, 1, 3, -1, 1, 1, 3, -1]]
+    # The label table is the search's whole state, so each call leaves it
+    # all -1 for the next: a girth call of one group walled off from
+    # variable 6, which cuts check 16 off, then a design call on a fork
+    # with walls at targets 4 and 7, which read -1.
+    assert np.all(graph.label == -1)
+    _, pair_meet, meets = peg._labelled_bfs(graph, [[11, 15, 16]], [6])
+    assert pair_meet.tolist() == _labelled_bfs(reference, [[11, 15, 16]], [6])[1].tolist() == [8]
+    assert meets.tolist() == [8, 8, math.inf]
+    assert np.all(graph.label == -1)
+    twin, walls = graph.fork(), [-1, 4, 7]
+    found, pair_meet, _ = peg._labelled_bfs(twin, sources, walls, targets, share)
+    want, want_meet = _labelled_bfs(reference, sources, walls, targets)
+    assert pair_meet.tolist() == want_meet.tolist()
+    assert np.array_equal(found, want)
+    assert found[1, 4 - 2] == found[2, 7 - 2] == -1
+    assert np.all(twin.label == -1) and np.all(graph.label == -1)
