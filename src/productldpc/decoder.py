@@ -7,7 +7,10 @@ likely.  Message magnitudes are clamped to CLAMP_LLR before the tanh to
 keep the log-domain transform finite.
 
 The decoder owns its edge plan, built once per H and kept for the last
-H decoded.  The plan buckets the checks by degree: each bucket holds its
+H decoded.  Threads that decode the same H, such as the CPU lanes of a
+simulation chunk, share that one plan; concurrent calls that find it
+cold may each build one (1.2 ms at full size), and the last one built
+is kept.  The plan buckets the checks by degree: each bucket holds its
 edges as a C-contiguous (degree, checks) array, so the check-node update
 is a sum and a parity along axis 0 broadcast back over the bucket's
 edges, in the check-centred layout of Hu, Eleftheriou, Arnold and
@@ -82,12 +85,17 @@ def _plan(H: SparseBinMatrix) -> _EdgePlan:
     # (a pool worker receives its code once, when it starts), so the
     # entry stays warm for the whole sweep, and a larger cache would only
     # keep the codes of finished sweeps alive.  The old entry goes before
-    # the new plan is built, so the two never coexist.
+    # the new plan is built, so the two never coexist.  The entry is read
+    # once and the plan returned is the one read or built here, so a call
+    # on another thread that swaps the entry in between cannot hand this
+    # one the plan of another H, or none.
     global _last_plan
-    if _last_plan[0] is not H:
+    held, plan = _last_plan
+    if held is not H:
         _last_plan = (None, None)
-        _last_plan = (H, _EdgePlan(H))
-    return _last_plan[1]
+        plan = _EdgePlan(H)
+        _last_plan = (H, plan)
+    return plan
 
 
 def _pairwise_rows(rows: np.ndarray) -> np.ndarray:

@@ -6,14 +6,16 @@ count: it folds the chunks' counters strictly in chunk-index order and
 stops once enough frame errors (or the frame cap) have accumulated, so
 results are identical no matter how many workers ran the chunks.  With
 one worker the chunks run in process, one at a time, and no chunk past
-the stop is decoded.  With more, one process pool serves the whole
-sweep: each worker receives the code once, when it starts (never
-pickled under fork, pickled once per worker under spawn), so a submit
-carries only the chunk's numbers and the decoder's edge plan stays
-built for the whole sweep.  A new chunk is submitted whenever a worker
-is free, unless the chunks in flight are expected to finish the point,
-so at most one chunk per worker is in flight and none waits in a queue;
-the chunks still running when a point stops finish and are discarded.
+the stop is decoded; if H has at least _LANE_EDGES edges, the frames of
+each chunk are decoded in CPU lanes, threads whose numpy calls overlap.
+With more, one process pool serves the whole sweep: each worker receives
+the code once, when it starts (never pickled under fork, pickled once
+per worker under spawn), so a submit carries only the chunk's numbers
+and the decoder's edge plan stays built for the whole sweep.  A new
+chunk is submitted whenever a worker is free, unless the chunks in
+flight are expected to finish the point, so at most one chunk per worker
+is in flight and none waits in a queue; the chunks still running when a
+point stops finish and are discarded.
 Errors are counted over information bits only.
 """
 
@@ -29,12 +31,21 @@ from functools import partial
 import numpy as np
 
 from .decoder import spa_decode
-from .gf2 import check_int
+from .gf2 import _in_lanes, check_int
 
 CHUNK_FRAMES = 25
 # A process pool starts all its workers on its first submit, so a
 # mistyped worker count must be refused before any pool exists.
 MAX_WORKERS = 64
+# The fewest edges in H at which a chunk's frames are decoded in lanes.
+# numpy calls over fewer edges are too short to overlap, and the GIL
+# hand-offs make two lanes slower.  Wall time of 100 decodes in two
+# lanes over that in one, on 2 cores (edges: ratio):
+#   mscmpc:5:3,4 squared     340: 1.03    mscmpc:49:7,8 squared   13,560: 0.92
+#   spc:30 squared         1,891: 1.79    mscmpc:64:8,9 squared   22,185: 0.76
+#   mscmpc:25:5,6 squared  4,026: 1.71    mscmpc:81:9,10 squared  34,390: 0.68
+#   mscmpc:36:6,7 squared  7,735: 1.17
+_LANE_EDGES = 2**14
 
 
 def _noise_variance(rate: float, ebn0_db: float) -> float:
@@ -99,28 +110,46 @@ class SimResult:
 
 
 def _run_chunk(code, ebn0_db: float, n_frames: int, seed, point_idx: int,
-               chunk_idx: int, max_iter: int):
-    """Simulate one chunk of frames; returns raw counters."""
+               chunk_idx: int, max_iter: int, *, lanes: bool = True):
+    """Simulate one chunk of frames; returns raw counters.
+
+    Every frame is drawn first, in stream order (info word, encode,
+    noise, LLRs).  The frames are then decoded in one lane per usable CPU
+    (gf2._in_lanes) if `lanes` is set and H has at least _LANE_EDGES
+    edges, else one after another.  A frame's counts depend only on its
+    own draw, and each lane sums integers, which add up exactly in any
+    grouping, so the counters do not depend on the lane count.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(point_idx, chunk_idx))
     )
     sigma2 = _noise_variance(code.k / code.n, ebn0_db)
     sigma = np.sqrt(sigma2)
-    info_pos = code.info_positions()
-    bit_errors = 0
-    frame_errors = 0
-    iterations = 0
+    infos, llrs = [], []
     for _ in range(n_frames):
         info = rng.integers(0, 2, size=code.k, dtype=np.uint8)
         codeword = code.encode(info)
         tx = 1.0 - 2.0 * codeword.astype(np.float64)
         rx = tx + sigma * rng.standard_normal(code.n)
-        llr = (2.0 / sigma2) * rx
-        result = spa_decode(code.H, llr, max_iter=max_iter)
-        errs = int(np.count_nonzero(result.hard_bits[info_pos] != info))
-        bit_errors += errs
-        frame_errors += errs > 0
-        iterations += result.iterations_used
+        infos.append(info)
+        llrs.append((2.0 / sigma2) * rx)
+    info_pos = code.info_positions()
+
+    def decode(share, _run):
+        bit_errors = frame_errors = iterations = 0
+        for info, llr in zip(infos[share], llrs[share]):
+            result = spa_decode(code.H, llr, max_iter=max_iter)
+            errs = int(np.count_nonzero(result.hard_bits[info_pos] != info))
+            bit_errors += errs
+            frame_errors += errs > 0
+            iterations += result.iterations_used
+        return bit_errors, frame_errors, iterations
+
+    if lanes and code.H.nnz >= _LANE_EDGES:
+        counts = _in_lanes(decode, n_frames, 1)
+    else:
+        counts = [decode(slice(None), None)]
+    bit_errors, frame_errors, iterations = (sum(c) for c in zip(*counts))
     return bit_errors, frame_errors, iterations, n_frames
 
 
@@ -142,7 +171,8 @@ def _init_worker(code) -> None:
 
 
 def _run_worker_chunk(*chunk):
-    return _run_chunk(_worker_code, *chunk)
+    # The pool's processes already fill the CPUs: one lane each.
+    return _run_chunk(_worker_code, *chunk, lanes=False)
 
 
 def _simulate_point(cfg: SimConfig, point_idx: int, ebn0_db: float, submit,

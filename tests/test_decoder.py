@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from scipy.sparse.csgraph import shortest_path
 from productldpc import (
     PermutationArray,
     SparseBinMatrix,
+    build_hp,
     build_hp_interleaved,
     spa_decode,
     syndrome,
@@ -256,3 +260,25 @@ class TestEdgePlan:
         ref = reference_spa_decode(H, llr, 20)
         assert (res.iterations_used, res.converged) == (ref.iterations_used, ref.converged)
         assert np.array_equal(res.hard_bits, ref.hard_bits)
+
+    def test_threads_swapping_the_plan_decode_as_one(self, pc144, spc3):
+        # Every thread shares the one plan entry.  Eight threads on two
+        # codes, switching every microsecond, swap it back and forth; each
+        # decode must still use its own code's plan.
+        codes = [pc144, build_hp(spc3, spc3)]
+        rng = np.random.default_rng(7)
+        frames = [(c.H, rng.normal(1.0, 1.5, c.n)) for _ in range(4) for c in codes]
+
+        def run(_):
+            return [(r.hard_bits.tobytes(), r.iterations_used, r.converged)
+                    for r in (spa_decode(H, llr, max_iter=20) for H, llr in frames)]
+
+        want = run(None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(run, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8

@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from productldpc import ComponentCode, ProductCode, build_hp, build_spc, build_uncoded
+from productldpc import (
+    ComponentCode,
+    ProductCode,
+    build_hp,
+    build_mscmpc,
+    build_spc,
+    build_uncoded,
+    simulate,
+)
 from productldpc.analysis import qfunc
 from productldpc.simulate import (
     CHUNK_FRAMES,
@@ -15,7 +23,9 @@ from productldpc.simulate import (
     SimConfig,
     SimPoint,
     _chunk_plan,
+    _init_worker,
     _run_chunk,
+    _run_worker_chunk,
     _simulate_point,
     run_sweep,
     write_sim_csv,
@@ -142,6 +152,27 @@ class TestDeterminism:
         assert sum(p.frames for p in points) == 600  # 24 chunks over 3 points
         assert CountingCode.pickles <= cfg.workers
 
+    def test_full_size_frames_decode_in_lanes_in_process_only(self, monkeypatch, lanes):
+        # The (10000,6561) direct code has 34,390 edges, above _LANE_EDGES:
+        # one process decodes a chunk's frames in a lane per CPU, with the
+        # same counts; a pool worker decodes them in one lane.
+        c = build_mscmpc(81, [9, 10])
+        code = build_hp(c, c)
+        assert code.H.nnz >= simulate._LANE_EDGES
+        cfg = SimConfig(code, ebn0_db=[2.5], min_frame_errors=50, max_frames=50, seed=7)
+        points = {}
+        for cpus in (1, 2):
+            pools = lanes(cpus)
+            points[cpus] = [vars(p) for p in run_sweep(cfg).points]
+            assert pools == ([1, 1] if cpus == 2 else [])  # one pool per chunk
+        assert points[1] == points[2]
+        monkeypatch.setattr(simulate, "_worker_code", None)
+        _init_worker(code)
+        pools = lanes(2)
+        chunk = (2.5, CHUNK_FRAMES, cfg.seed, 0, 0, cfg.max_iter)
+        assert _run_worker_chunk(*chunk) == _run_chunk(code, *chunk)
+        assert pools == [1]  # from _run_chunk alone
+
 
 class TestChunkPlan:
     @pytest.mark.parametrize("max_frames, sizes", [
@@ -246,13 +277,26 @@ def test_csv_output(tmp_path):
     ("perms_mscmpc5_seed1.json", [(225, 20, 44), (650, 21, 37), (2000, 8, 16)],
      "50307c36bf2c7e4cc5163422a0cca68e33b52c9d04b8164e54e65332a8464df8"),
 ], ids=["direct-144", "interleaved-144"])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_csv_bytes_are_pinned(tmp_path, comp5, perms, counts, digest, workers):
+@pytest.mark.parametrize("workers, cpus", [
+    pytest.param(1, None, id="1"),
+    pytest.param(2, None, id="2"),
+    # Below _LANE_EDGES the frames decode one by one; with the floor at 0
+    # the (144,25) codes decode each chunk's frames in three lanes.
+    pytest.param(1, 3, id="1-3lanes"),
+])
+def test_sweep_csv_bytes_are_pinned(tmp_path, monkeypatch, lanes, comp5, perms, counts, digest,
+                                    workers, cpus):
     table = None if perms is None else load_permutation_array(DATA / perms)
     code = ProductCode(comp5, comp5, table)
+    if cpus is not None:
+        pools = lanes(cpus)
+        monkeypatch.setattr(simulate, "_LANE_EDGES", 0)
     result = run_sweep(SimConfig(code, ebn0_db=[2.0, 3.0, 4.0], max_iter=50, min_frame_errors=20,
                                  max_frames=2000, seed=7, workers=workers))
     assert [(p.frames, p.frame_errors, p.bit_errors) for p in result.points] == counts
+    if cpus is not None:
+        # Every chunk holds 25 frames: each starts two threads beside lane 0.
+        assert pools == [cpus - 1] * (sum(frames for frames, _, _ in counts) // CHUNK_FRAMES)
     path = tmp_path / "sweep.csv"
     write_sim_csv(path, result)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
