@@ -285,8 +285,8 @@ def decode(alist_path, llr_path, max_iter, out):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=_OutputPath())
 @click.option("--workers", type=int, default=1, show_default=True,
-              help="worker processes; 1 runs the sweep in this process, decoding a "
-                   "chunk's frames in one thread per CPU on large codes")
+              help="worker processes; 1 runs the sweep in this process, handing its "
+                   "chunks to one thread per CPU on large codes")
 def simulate(config_path, out, workers):
     """Monte Carlo BER/FER sweep from a JSON config.
 

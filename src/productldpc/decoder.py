@@ -8,7 +8,7 @@ keep the log-domain transform finite.
 
 The decoder owns its edge plan, built once per H and kept for the last
 H decoded.  Threads that decode the same H, such as the CPU lanes of a
-simulation chunk, share that one plan; concurrent calls that find it
+one-worker sweep, share that one plan; concurrent calls that find it
 cold may each build one (1.2 ms at full size), and the last one built
 is kept.  The plan buckets the checks by degree: each bucket holds its
 edges as a C-contiguous (degree, checks) array, so the check-node update

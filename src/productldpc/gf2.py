@@ -8,7 +8,8 @@ any packed representation (e.g. for rank elimination) stays internal.
 
 The module imports nothing from the package, so it is also the home of
 what every layer shares: ``check_int``, the count check applied to
-inputs, and ``_in_lanes``, which splits independent work over the CPUs.
+inputs, ``_cpus``, the usable CPU count, and ``_in_lanes``, which splits
+independent work over the CPUs.
 """
 
 from __future__ import annotations

@@ -1,21 +1,22 @@
 """Monte Carlo BER/FER estimation over BPSK/AWGN.
 
 Frames are drawn in fixed-size chunks, each chunk seeded independently
-from (seed, point index, chunk index).  One loop serves any worker
-count: it folds the chunks' counters strictly in chunk-index order and
-stops once enough frame errors (or the frame cap) have accumulated, so
-results are identical no matter how many workers ran the chunks.  With
-one worker the chunks run in process, one at a time, and no chunk past
-the stop is decoded; if H has at least _LANE_EDGES edges, the frames of
-each chunk are decoded in CPU lanes, threads whose numpy calls overlap.
-With more, one process pool serves the whole sweep: each worker receives
-the code once, when it starts (never pickled under fork, pickled once
-per worker under spawn), so a submit carries only the chunk's numbers
-and the decoder's edge plan stays built for the whole sweep.  A new
-chunk is submitted whenever a worker is free, unless the chunks in
-flight are expected to finish the point, so at most one chunk per worker
-is in flight and none waits in a queue; the chunks still running when a
-point stops finish and are discarded.
+from (seed, point index, chunk index).  The chunk is the one unit of
+parallel work: one loop hands chunks to the free slots of the sweep's
+executor, folds their counters strictly in chunk-index order and stops
+once enough frame errors (or the frame cap) have accumulated, so results
+are identical whichever executor ran the chunks.  With more than one
+worker the executor is one process pool: each worker receives the code
+once, when it starts (never pickled under fork, pickled once per worker
+under spawn), so a submit carries only the chunk's numbers and the
+decoder's edge plan stays built for the whole sweep.  With one worker,
+if H has at least _LANE_EDGES edges, it is a pool of one thread per
+usable CPU (the CPU lanes), whose numpy calls overlap; otherwise the
+chunks run in process, one at a time, and no chunk past the stop is
+decoded.  A new chunk is submitted whenever a slot is free, unless the
+chunks in flight are expected to finish the point, so at most one chunk
+per slot is in flight and none waits in a queue; the chunks still
+running when a point stops finish and are discarded.
 Errors are counted over information bits only.
 """
 
@@ -24,27 +25,29 @@ from __future__ import annotations
 import math
 import numbers
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor,
+                                ThreadPoolExecutor, wait)
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .decoder import spa_decode
-from .gf2 import _in_lanes, check_int
+from .gf2 import _cpus, check_int
 
 CHUNK_FRAMES = 25
 # A process pool starts all its workers on its first submit, so a
 # mistyped worker count must be refused before any pool exists.
 MAX_WORKERS = 64
-# The fewest edges in H at which a chunk's frames are decoded in lanes.
+# The fewest edges in H at which one worker runs chunks in CPU lanes.
 # numpy calls over fewer edges are too short to overlap, and the GIL
-# hand-offs make two lanes slower.  Wall time of 100 decodes in two
-# lanes over that in one, on 2 cores (edges: ratio):
-#   mscmpc:5:3,4 squared     340: 1.03    mscmpc:49:7,8 squared   13,560: 0.92
-#   spc:30 squared         1,891: 1.79    mscmpc:64:8,9 squared   22,185: 0.76
-#   mscmpc:25:5,6 squared  4,026: 1.71    mscmpc:81:9,10 squared  34,390: 0.68
-#   mscmpc:36:6,7 squared  7,735: 1.17
+# hand-offs make two lanes slower.  Wall time of a one-worker sweep at
+# 2.5 dB (400 to 5,000 frames) in two lanes over that in one, median of
+# 3 pairs on 2 cores (edges: ratio):
+#   mscmpc:5:3,4 squared     340: 1.12    mscmpc:49:7,8 squared   13,560: 0.91
+#   spc:30 squared         1,891: 1.89    mscmpc:64:8,9 squared   22,185: 0.76
+#   mscmpc:25:5,6 squared  4,026: 1.68    mscmpc:81:9,10 squared  34,390: 0.68
+#   mscmpc:36:6,7 squared  7,735: 1.23
 _LANE_EDGES = 2**14
 
 
@@ -110,15 +113,13 @@ class SimResult:
 
 
 def _run_chunk(code, ebn0_db: float, n_frames: int, seed, point_idx: int,
-               chunk_idx: int, max_iter: int, *, lanes: bool = True):
+               chunk_idx: int, max_iter: int):
     """Simulate one chunk of frames; returns raw counters.
 
     Every frame is drawn first, in stream order (info word, encode,
-    noise, LLRs).  The frames are then decoded in one lane per usable CPU
-    (gf2._in_lanes) if `lanes` is set and H has at least _LANE_EDGES
-    edges, else one after another.  A frame's counts depend only on its
-    own draw, and each lane sums integers, which add up exactly in any
-    grouping, so the counters do not depend on the lane count.
+    noise, LLRs), and the frames are then decoded one after another;
+    drawing and decoding frame by frame ran 2 pool workers at 4.5 dB
+    2-5 % slower.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(point_idx, chunk_idx))
@@ -134,22 +135,13 @@ def _run_chunk(code, ebn0_db: float, n_frames: int, seed, point_idx: int,
         infos.append(info)
         llrs.append((2.0 / sigma2) * rx)
     info_pos = code.info_positions()
-
-    def decode(share, _run):
-        bit_errors = frame_errors = iterations = 0
-        for info, llr in zip(infos[share], llrs[share]):
-            result = spa_decode(code.H, llr, max_iter=max_iter)
-            errs = int(np.count_nonzero(result.hard_bits[info_pos] != info))
-            bit_errors += errs
-            frame_errors += errs > 0
-            iterations += result.iterations_used
-        return bit_errors, frame_errors, iterations
-
-    if lanes and code.H.nnz >= _LANE_EDGES:
-        counts = _in_lanes(decode, n_frames, 1)
-    else:
-        counts = [decode(slice(None), None)]
-    bit_errors, frame_errors, iterations = (sum(c) for c in zip(*counts))
+    bit_errors = frame_errors = iterations = 0
+    for info, llr in zip(infos, llrs):
+        result = spa_decode(code.H, llr, max_iter=max_iter)
+        errs = int(np.count_nonzero(result.hard_bits[info_pos] != info))
+        bit_errors += errs
+        frame_errors += errs > 0
+        iterations += result.iterations_used
     return bit_errors, frame_errors, iterations, n_frames
 
 
@@ -171,24 +163,24 @@ def _init_worker(code) -> None:
 
 
 def _run_worker_chunk(*chunk):
-    # The pool's processes already fill the CPUs: one lane each.
-    return _run_chunk(_worker_code, *chunk, lanes=False)
+    return _run_chunk(_worker_code, *chunk)
 
 
-def _simulate_point(cfg: SimConfig, point_idx: int, ebn0_db: float, submit,
+def _simulate_point(cfg: SimConfig, point_idx: int, ebn0_db: float, submit, slots: int,
                     running: set) -> SimPoint:
     """Fold chunk counters in index order until the stopping rule fires.
 
     `submit(ebn0_db, n_frames, seed, point_idx, chunk_idx, max_iter)`
-    returns a future of `_run_chunk`'s counters.  `running` holds the
-    sweep's submitted futures, those of earlier points included; a chunk
-    is submitted only while fewer than `cfg.workers` of them are not
-    done, so no chunk waits in a queue, and a worker that finishes any
-    chunk gets the next one without waiting for the older chunks to be
-    folded, unless the chunks in flight are expected to finish the
-    point.  Chunks past the one that fires the rule are discarded: those
-    that finished while an older chunk still ran, and those still
-    running, one per busy worker at most, which finish first.
+    returns a future of `_run_chunk`'s counters from an executor of
+    `slots` workers.  `running` holds the sweep's submitted futures,
+    those of earlier points included; a chunk is submitted only while
+    fewer than `slots` of them are not done, so no chunk waits in a
+    queue, and a slot that finishes any chunk gets the next one without
+    waiting for the older chunks to be folded, unless the chunks in
+    flight are expected to finish the point.  Chunks past the one that
+    fires the rule are discarded: those that finished while an older
+    chunk still ran, and those still running, one per busy slot at most,
+    which finish first.
     """
     plan = enumerate(_chunk_plan(cfg.max_frames))
     pending = deque()  # (future, frames) submitted and not yet folded, in chunk order
@@ -205,11 +197,11 @@ def _simulate_point(cfg: SimConfig, point_idx: int, ebn0_db: float, submit,
             frames += fr
             continue
         running.difference_update([fut for fut in running if fut.done()])
-        # A free worker gets the next chunk unless the chunks in flight
+        # A free slot gets the next chunk unless the chunks in flight
         # are expected to bring the point to its stop at the frame error
         # rate folded so far (every frame failing, before the first fold).
         rate = frame_errors / frames if frames else 1.0
-        if (len(running) < cfg.workers
+        if (len(running) < slots
                 and frame_errors + rate * pending_frames < cfg.min_frame_errors):
             chunk = next(plan, None)
             if chunk is not None:
@@ -235,7 +227,7 @@ def _simulate_point(cfg: SimConfig, point_idx: int, ebn0_db: float, submit,
 
 
 class _InProcess(Executor):
-    """The executor for one worker: runs each chunk at once, in this process."""
+    """The executor of one slot: runs each chunk at once, in this process."""
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
         fut = Future()
@@ -246,16 +238,21 @@ class _InProcess(Executor):
 def run_sweep(cfg: SimConfig) -> SimResult:
     """BER/FER at every grid point, stopping each point on enough errors."""
     if cfg.workers > 1:
-        executor = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+        slots = cfg.workers
+        executor = ProcessPoolExecutor(max_workers=slots, initializer=_init_worker,
                                        initargs=(cfg.code,))
         submit = partial(executor.submit, _run_worker_chunk)
     else:
-        executor = _InProcess()
+        # One slot runs inline, on this thread: a pool of one thread was
+        # no faster (1.00-1.03x the inline time in 6 runs each, on
+        # mscmpc:5:3,4 squared at 20,000 frames).
+        slots = _cpus() if cfg.code.H.nnz >= _LANE_EDGES else 1
+        executor = ThreadPoolExecutor(slots) if slots > 1 else _InProcess()
         submit = partial(executor.submit, _run_chunk, cfg.code)
     running = set()
     with executor:
         points = [
-            _simulate_point(cfg, idx, float(ebn0), submit, running)
+            _simulate_point(cfg, idx, float(ebn0), submit, slots, running)
             for idx, ebn0 in enumerate(cfg.ebn0_db)
         ]
     meta = {

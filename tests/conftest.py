@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from productldpc import build_hp, build_mscmpc, build_spc, gf2
+from productldpc import build_hp, build_mscmpc, build_spc, gf2, simulate
 
 
 @pytest.fixture(scope="session")
@@ -28,9 +28,10 @@ def rng():
 
 @pytest.fixture()
 def lanes(monkeypatch):
-    """set_cpus(c) makes gf2 see c usable CPUs and returns the list to
-    which every thread pool the lanes start appends its size, one less
-    than the lanes, since lane 0 runs on the calling thread."""
+    """set_cpus(c) makes gf2 and simulate see c usable CPUs and returns
+    the list to which every thread pool they start appends its size: a
+    sweep's pool holds one thread per lane, and gf2._in_lanes's one less
+    than the lanes, since its lane 0 runs on the calling thread."""
     pools = []
 
     class Pool(ThreadPoolExecutor):
@@ -38,10 +39,12 @@ def lanes(monkeypatch):
             pools.append(workers)
             super().__init__(workers)
 
-    monkeypatch.setattr(gf2, "ThreadPoolExecutor", Pool)
+    for module in (gf2, simulate):
+        monkeypatch.setattr(module, "ThreadPoolExecutor", Pool)
 
     def set_cpus(cpus):
-        monkeypatch.setattr(gf2, "_cpus", lambda: cpus)
+        for module in (gf2, simulate):
+            monkeypatch.setattr(module, "_cpus", lambda: cpus)
         pools.clear()
         return pools
 

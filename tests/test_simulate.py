@@ -1,7 +1,7 @@
 import hashlib
 import math
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,16 @@ class CountingCode(ComponentCode):
 def tiny_pc():
     spc = build_spc(3)
     return build_hp(spc, spc)
+
+
+# The executors a sweep hands chunks to, with their slot counts: process
+# pools, and the thread pools of the CPU lanes.
+POOLS = [
+    pytest.param(ProcessPoolExecutor, 2, id="2"),
+    pytest.param(ProcessPoolExecutor, 3, id="3"),
+    pytest.param(ThreadPoolExecutor, 2, id="threads-2"),
+    pytest.param(ThreadPoolExecutor, 3, id="threads-3"),
+]
 
 
 class TestConfigValidation:
@@ -111,36 +121,38 @@ class TestDeterminism:
         assert [p.frames for p in serial.points] == [75, 225, 500]
         assert [vars(p) for p in serial.points] == [vars(p) for p in parallel.points]
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_chunks_go_only_to_free_workers(self, tiny_pc, workers):
+    @pytest.mark.parametrize("pool_type, workers", POOLS)
+    def test_chunks_go_only_to_free_workers(self, tiny_pc, pool_type, workers):
         # No chunk waits in a queue, so when the point stops, at most one
-        # chunk per worker is left to decode and be discarded.
-        cfg = SimConfig(code=tiny_pc, ebn0_db=[0.0], min_frame_errors=20,
-                        max_frames=500, seed=3, workers=workers)
+        # chunk per worker is left to decode and be discarded.  The point
+        # needs 14 chunks at about 7 frame errors each, so the chunks in
+        # flight are held by the worker count, not by the expected stop.
+        cfg = SimConfig(code=tiny_pc, ebn0_db=[0.0], min_frame_errors=100,
+                        max_frames=2000, seed=3)
         submitted = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with pool_type(max_workers=workers) as pool:
             def submit(*chunk):
                 assert sum(not fut.done() for fut in submitted) < workers
                 submitted.append(pool.submit(_run_chunk, tiny_pc, *chunk))
                 return submitted[-1]
 
-            point = _simulate_point(cfg, 0, 0.0, submit, set())
+            point = _simulate_point(cfg, 0, 0.0, submit, workers, set())
             assert sum(not fut.done() for fut in submitted) <= workers
-        assert point.frames == 3 * CHUNK_FRAMES
+        assert point.frames == 14 * CHUNK_FRAMES
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_no_chunk_past_the_expected_stop(self, workers):
+    @pytest.mark.parametrize("pool_type, workers", POOLS)
+    def test_no_chunk_past_the_expected_stop(self, pool_type, workers):
         # Every frame fails, so two 25-frame chunks reach 50 errors: no
         # worker starts a third chunk that the stop would discard.
         cfg = SimConfig(code=build_uncoded(16), ebn0_db=[-30.0], min_frame_errors=50,
-                        max_frames=500, seed=5, workers=workers)
+                        max_frames=500, seed=5)
         submitted = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with pool_type(max_workers=workers) as pool:
             def submit(*chunk):
                 submitted.append(pool.submit(_run_chunk, cfg.code, *chunk))
                 return submitted[-1]
 
-            point = _simulate_point(cfg, 0, -30.0, submit, set())
+            point = _simulate_point(cfg, 0, -30.0, submit, workers, set())
         assert (point.frames, point.frame_errors) == (50, 50)
         assert len(submitted) == 2
 
@@ -154,8 +166,8 @@ class TestDeterminism:
 
     def test_full_size_frames_decode_in_lanes_in_process_only(self, monkeypatch, lanes):
         # The (10000,6561) direct code has 34,390 edges, above _LANE_EDGES:
-        # one process decodes a chunk's frames in a lane per CPU, with the
-        # same counts; a pool worker decodes them in one lane.
+        # one process runs its chunks on a pool of one thread per CPU, with
+        # the same counts; a pool worker decodes its chunk on its own thread.
         c = build_mscmpc(81, [9, 10])
         code = build_hp(c, c)
         assert code.H.nnz >= simulate._LANE_EDGES
@@ -164,14 +176,14 @@ class TestDeterminism:
         for cpus in (1, 2):
             pools = lanes(cpus)
             points[cpus] = [vars(p) for p in run_sweep(cfg).points]
-            assert pools == ([1, 1] if cpus == 2 else [])  # one pool per chunk
+            assert pools == ([2] if cpus == 2 else [])  # one pool per sweep
         assert points[1] == points[2]
         monkeypatch.setattr(simulate, "_worker_code", None)
         _init_worker(code)
         pools = lanes(2)
         chunk = (2.5, CHUNK_FRAMES, cfg.seed, 0, 0, cfg.max_iter)
         assert _run_worker_chunk(*chunk) == _run_chunk(code, *chunk)
-        assert pools == [1]  # from _run_chunk alone
+        assert pools == []
 
 
 class TestChunkPlan:
@@ -280,8 +292,8 @@ def test_csv_output(tmp_path):
 @pytest.mark.parametrize("workers, cpus", [
     pytest.param(1, None, id="1"),
     pytest.param(2, None, id="2"),
-    # Below _LANE_EDGES the frames decode one by one; with the floor at 0
-    # the (144,25) codes decode each chunk's frames in three lanes.
+    # Below _LANE_EDGES the chunks run inline; with the floor at 0 the
+    # (144,25) codes run them on a pool of three threads.
     pytest.param(1, 3, id="1-3lanes"),
 ])
 def test_sweep_csv_bytes_are_pinned(tmp_path, monkeypatch, lanes, comp5, perms, counts, digest,
@@ -295,8 +307,7 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, monkeypatch, lanes, comp5, perms, 
                                  max_frames=2000, seed=7, workers=workers))
     assert [(p.frames, p.frame_errors, p.bit_errors) for p in result.points] == counts
     if cpus is not None:
-        # Every chunk holds 25 frames: each starts two threads beside lane 0.
-        assert pools == [cpus - 1] * (sum(frames for frames, _, _ in counts) // CHUNK_FRAMES)
+        assert pools == [cpus]  # one pool per sweep
     path = tmp_path / "sweep.csv"
     write_sim_csv(path, result)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
