@@ -51,7 +51,6 @@ graph, before it commits any of it.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -80,12 +79,12 @@ _WALL = -2
 
 # Groups per _labelled_bfs call: check roots in local_girth, shared out
 # among its lanes, and permutation rows in the circulant design.  A
-# call's state is one int32 array of groups * n_nodes entries, about
-# 0.13 MB per thousand nodes at 32.  On the (10000,6561) codes, warm,
-# one lane took 99-118 ms a code for 16 to 128 roots per call and
-# 117-127 for 8, with a state three times this size (2 cores).  In
-# code-design's cold run on 2 cores, 64 groups took the girth from 0.174
-# to 0.153 s and raised peak RSS by 0.6 %.
+# call's label table holds groups * n_nodes int32 entries, about 0.13 MB
+# per thousand nodes at 32.  On the (10000,6561) codes, warm, one lane
+# took 99-118 ms a code for 16 to 128 roots per call and 117-127 for 8,
+# with a state three times this size (2 cores).  In code-design's cold
+# run on 2 cores, 64 groups took the girth from 0.174 to 0.153 s and
+# raised peak RSS by 0.6 %.
 _PASS_GROUPS = 32
 
 # A graph gets padded rows while its largest capacity is at most this
@@ -105,8 +104,7 @@ class _Graph:
     otherwise `rows` is None.  A Tanner graph's variables 0..n_vars-1
     have at most var_rows.shape[1] edges, so their rows are read through
     var_rows, which drops the free slots past that; other graphs have
-    n_vars = 0.  Plus the one array of search state that _labelled_bfs
-    reuses: a label per (group, node), which is -1 between searches."""
+    n_vars = 0."""
 
     def __init__(self, capacity) -> None:
         capacity = np.asarray(capacity, dtype=np.int64)
@@ -121,13 +119,6 @@ class _Graph:
         self.rows = self.slots.reshape(n, width) if padded else None
         self.fill = np.zeros(n, dtype=np.int64)
         self.n_vars, self.var_rows = 0, self.rows
-        self.label = np.empty(0, dtype=np.int32)
-
-    def fork(self) -> "_Graph":
-        """A graph on this one's slots with a search state of its own."""
-        twin = copy.copy(self)
-        twin.label = np.empty(0, dtype=np.int32)
-        return twin
 
     @classmethod
     def tanner(cls, H: SparseBinMatrix) -> "_Graph":
@@ -160,16 +151,19 @@ class _Graph:
         self.fill[v] += 1
 
 
-def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
+def _labelled_bfs(graph: _Graph, label, sources, walls=None, targets=None, share=None):
     """BFS distances from groups of sources, and each source's least
     distance to another source of its group.
 
     Each of the G groups searches its own copy of the graph, at flat
-    indices ``group * n_nodes + node``: ``sources[g]`` lists group g's
-    distinct sources and ``walls[g]``, if given, a node it never enters
-    (-1 for none).  The graph is bipartite and all sources lie on one
-    side, so every edge joins two consecutive levels and each level lies
-    on one side.
+    indices ``group * n_nodes + node`` of `label`: the caller's int32
+    table of at least G * n_nodes entries, all -1.  The search writes
+    that table and nothing else, and leaves it all -1 again, so searches
+    on one graph may run at once, each with a table of its own.
+    ``sources[g]`` lists group g's distinct sources and ``walls[g]``, if
+    given, a node it never enters (-1 for none).  The graph is bipartite
+    and all sources lie on one side, so every edge joins two consecutive
+    levels and each level lies on one side.
 
     The search is level-synchronized and every source carries its own
     label.  No level is sorted.  A level expands by one gather of the
@@ -224,9 +218,6 @@ def _labelled_bfs(graph: _Graph, sources, walls=None, targets=None, share=None):
     None with targets.
     """
     groups, n_nodes = len(sources), graph.n_nodes
-    if graph.label.size < groups * n_nodes:
-        graph.label = np.full(groups * n_nodes, -1, dtype=np.int32)
-    label = graph.label
     rows, slots, indptr, fill = graph.rows, graph.slots, graph.indptr, graph.fill
     if groups == 1:
         frontier = np.asarray(sources[0], dtype=np.int64)
@@ -349,9 +340,10 @@ def local_girth(H: SparseBinMatrix) -> GirthReport:
     c, whose sources are c's variables: the shortest cycle through edge
     (c, v) is 2 plus v's meet.  A variable's local girth is the least
     over its edges.  The roots are dealt out to the lanes of
-    gf2._in_lanes, each with a graph state of its own, and each lane
-    searches its roots in calls of the run size the lanes give it, so
-    the lanes' states together take what one serial lane's would.
+    gf2._in_lanes, which share the graph, each with a label table of its
+    own, and each lane searches its roots in calls of the run size the
+    lanes give it, so the lanes' tables together take what one serial
+    lane's would.
     """
     if H.rows == 0 or H.cols == 0:
         raise ValueError("girth of an empty matrix is undefined")
@@ -361,12 +353,13 @@ def local_girth(H: SparseBinMatrix) -> GirthReport:
 
     def search(share: slice, size: int) -> list:
         """(variables, meets) of each call on this lane's roots."""
-        lane, mine = graph.fork(), roots[share]
+        mine = roots[share]
+        label = np.full(min(size, mine.size) * graph.n_nodes, -1, dtype=np.int32)
         calls = []
         for first in range(0, mine.size, size):
             batch = mine[first : first + size]
             sources = [slots[indptr[c] : indptr[c] + fill[c]] for c in batch]
-            calls.append((np.concatenate(sources), _labelled_bfs(lane, sources, batch)[2]))
+            calls.append((np.concatenate(sources), _labelled_bfs(graph, label, sources, batch)[2]))
         return calls
 
     local = np.full(H.cols, math.inf)
@@ -400,12 +393,14 @@ def _design(a: ComponentCode, b: ComponentCode, seed: int, circulant: bool) -> P
     # two of those share a check where their columns share one in H_a.
     h_a = a.H.to_dense().astype(np.int64)
     share = h_a.T @ h_a > 0
+    groups = min(_PASS_GROUPS, n_a) if circulant else 1
+    label = np.full(groups * graph.n_nodes, -1, dtype=np.int32)
 
     def quality(targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
         """Scores of the free candidates `targets` against the current
         graph, one row per row of `sources`, the checks of one variable's
         new edges."""
-        dist, pair_meet, _ = _labelled_bfs(graph, sources, targets=targets, share=share)
+        dist, pair_meet, _ = _labelled_bfs(graph, label, sources, targets=targets, share=share)
         return np.minimum(pair_meet[:, None] + 2, np.where(dist < 0, math.inf, dist + 1))
 
     def pick_max(qual: np.ndarray) -> int:

@@ -243,9 +243,11 @@ def run_sweep(cfg: SimConfig) -> SimResult:
                                        initargs=(cfg.code,))
         submit = partial(executor.submit, _run_worker_chunk)
     else:
-        # One slot runs inline, on this thread: a pool of one thread was
-        # no faster (1.00-1.03x the inline time in 6 runs each, on
-        # mscmpc:5:3,4 squared at 20,000 frames).
+        # One slot runs inline, on this thread: handing each chunk to a
+        # pool of one thread costs about 2 % on a tiny code, where a
+        # chunk is short (mscmpc:5:3,4 squared, 10,000 frames at 2.5 dB:
+        # 1.021x the inline time, slower in 10 of 10 pairs on 2 CPUs,
+        # 1.001x on one; spc:30 squared, 3,000 frames: 1.008x).
         slots = _cpus() if cfg.code.H.nnz >= _LANE_EDGES else 1
         executor = ThreadPoolExecutor(slots) if slots > 1 else _InProcess()
         submit = partial(executor.submit, _run_chunk, cfg.code)

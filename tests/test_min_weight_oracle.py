@@ -89,6 +89,14 @@ def min_weight_multiplicity(code: ProductCode) -> int:
     return total
 
 
+def interleaver_floor(a: ComponentCode, b: ComponentCode) -> int:
+    """f * |W_{d_a}(C_a)|, where f counts the words of W_{d_b}(C_b) with
+    exactly one information row: each such c gives |W_{d_a}(C_a)| terms
+    in the sum above whatever the permutations, so no table goes below."""
+    info_rows = np.isin(_min_weight_words(b), b.info_positions()).sum(axis=1)
+    return int(np.count_nonzero(info_rows == 1)) * len(_min_weight_words(a))
+
+
 COMP5 = build_mscmpc(5, [3, 4])
 
 
@@ -109,6 +117,7 @@ def test_matches_the_exhaustive_spectrum_across_seeds(design, counts):
         found.append(min_weight_multiplicity(code))
         assert exhaustive_spectrum(code).counts[16] == found[-1], seed
     assert found == counts
+    assert min(found) >= interleaver_floor(COMP5, COMP5) == 40
 
 
 def test_direct_code_is_the_square_of_the_component_count():
@@ -122,7 +131,7 @@ def test_matches_the_exhaustive_spectrum_of_drawn_codes(a, b, seed):
     code = ProductCode(a, b, _random(a, b, seed))
     d = _min_weight_words(a).shape[1] * _min_weight_words(b).shape[1]
     spectrum, count = exhaustive_spectrum(code), min_weight_multiplicity(code)
-    assert spectrum.counts.get(d, 0) == count
+    assert spectrum.counts.get(d, 0) == count >= interleaver_floor(a, b)
     assert spectrum.min_distance() == d if count else spectrum.min_distance() > d
 
 
@@ -133,3 +142,6 @@ def test_full_size_interleaver_thins_the_minimum_weight_words():
     interleaved = min_weight_multiplicity(
         ProductCode(comp, comp, load_permutation_array(DATA / "perms_mscmpc81_seed1.json")))
     assert (direct, interleaved) == (2025 ** 2, 164_388)
+    floor = interleaver_floor(comp, comp)
+    assert floor == 81 * 2025 == 164_025
+    assert floor <= interleaved <= 1.003 * floor

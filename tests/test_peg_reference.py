@@ -307,7 +307,8 @@ def test_shared_check_read_off_matches_the_reference(spare):
         incidence[c - 11, v - 2] = 1
     targets, share = np.arange(2, 10), incidence.T @ incidence > 0
     sources = [[11, 15], [11, 14, 10], [12, 16]]
-    found, pair_meet, _ = peg._labelled_bfs(graph, sources, targets=targets, share=share)
+    label = np.full(len(sources) * 19, -1, dtype=np.int32)
+    found, pair_meet, _ = peg._labelled_bfs(graph, label, sources, targets=targets, share=share)
     want, want_meet = _labelled_bfs(reference, sources, targets=targets)
     assert pair_meet.tolist() == want_meet.tolist() == [8, 6, 4]
     assert np.array_equal(found, want)
@@ -316,17 +317,17 @@ def test_shared_check_read_off_matches_the_reference(spare):
                               [1, 1, 3, -1, 1, 1, 3, -1]]
     # The label table is the search's whole state, so each call leaves it
     # all -1 for the next: a girth call of one group walled off from
-    # variable 6, which cuts check 16 off, then a design call on a fork
-    # with walls at targets 4 and 7, which read -1.
-    assert np.all(graph.label == -1)
-    _, pair_meet, meets = peg._labelled_bfs(graph, [[11, 15, 16]], [6])
+    # variable 6, which cuts check 16 off, then a design call on a second
+    # table with walls at targets 4 and 7, which read -1.
+    assert np.all(label == -1)
+    _, pair_meet, meets = peg._labelled_bfs(graph, label, [[11, 15, 16]], [6])
     assert pair_meet.tolist() == _labelled_bfs(reference, [[11, 15, 16]], [6])[1].tolist() == [8]
     assert meets.tolist() == [8, 8, math.inf]
-    assert np.all(graph.label == -1)
-    twin, walls = graph.fork(), [-1, 4, 7]
-    found, pair_meet, _ = peg._labelled_bfs(twin, sources, walls, targets, share)
+    assert np.all(label == -1)
+    second, walls = np.full_like(label, -1), [-1, 4, 7]
+    found, pair_meet, _ = peg._labelled_bfs(graph, second, sources, walls, targets, share)
     want, want_meet = _labelled_bfs(reference, sources, walls, targets)
     assert pair_meet.tolist() == want_meet.tolist()
     assert np.array_equal(found, want)
     assert found[1, 4 - 2] == found[2, 7 - 2] == -1
-    assert np.all(twin.label == -1) and np.all(graph.label == -1)
+    assert np.all(second == -1) and np.all(label == -1)
