@@ -41,10 +41,18 @@ from .simulate import SimConfig, run_sweep, write_sim_csv
 MAX_EBN0_POINTS = 100_000
 
 
+def _floats(tokens, what: str) -> list:
+    """float() of each token, refusing the "_" digit separators it would read."""
+    for tok in tokens:
+        if "_" in tok:
+            raise ValueError(f"{what} {tok!r} is not a number")
+    return [float(tok) for tok in tokens]
+
+
 def _parse_ebn0(text: str) -> list:
     """Comma list ("1,2,3") or inclusive range ("start:stop:step"), all finite."""
     if ":" in text:
-        parts = [float(p) for p in text.split(":")]
+        parts = _floats(text.split(":"), "Eb/N0 value")
         if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0:
             raise ValueError(
                 f"bad Eb/N0 range {text!r}, use start:stop:step with finite values"
@@ -59,7 +67,7 @@ def _parse_ebn0(text: str) -> list:
         if steps < 0:
             raise ValueError(f"Eb/N0 range {text!r} has no points: stop is below start")
         return [start + i * step for i in range(math.floor(steps) + 1)]
-    grid = [float(p) for p in text.split(",") if p]
+    grid = _floats([p for p in text.split(",") if p], "Eb/N0 value")
     if not grid:
         raise ValueError(f"Eb/N0 list {text!r} has no points")
     if not all(map(math.isfinite, grid)):
@@ -272,7 +280,7 @@ def decode(alist_path, llr_path, max_iter, out):
     """Sum-product decode one frame of channel LLRs."""
     H = read_alist(alist_path)
     with open(llr_path) as fh:
-        llr = np.array([float(tok) for tok in fh.read().split()])
+        llr = np.array(_floats(fh.read().split(), "LLR"))
     result = spa_decode(H, llr, max_iter=max_iter)
     with open(out, "w") as fh:
         fh.write(" ".join(str(int(b)) for b in result.hard_bits) + "\n")

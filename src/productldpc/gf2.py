@@ -3,7 +3,11 @@
 Parity-check matrices are stored in compressed sparse row (CSR) form:
 row i's nonzero columns are ``indices[indptr[i]:indptr[i + 1]]``, in
 strictly increasing order, and ``transpose()`` reads a matrix by
-columns.  Bit vectors cross the module boundary as 0/1 integer arrays;
+columns.  A result whose rows come out sorted is written straight into
+CSR: ``vstack`` offsets and joins its operands' arrays, and
+``PermutationArray.to_matrix`` writes each row as it reads the table.
+Products and the transpose emit every row's columns in increasing order,
+so one stable sort by row puts them in place.  Bit vectors cross the module boundary as 0/1 integer arrays;
 any packed representation (e.g. for rank elimination) stays internal.
 
 The module imports nothing from the package, so it is also the home of
@@ -95,28 +99,37 @@ class SparseBinMatrix:
         c = np.concatenate([np.empty(0, dtype=np.int64), *supports])
         if c.size and (c.min() < 0 or c.max() >= cols):
             raise ValueError(f"column index out of range [0, {cols})")
+        indptr = _bounds([sup.size for sup in supports])
         # Row-major positions increase strictly iff every row's support does.
-        pos = _row_ids(_bounds([sup.size for sup in supports])) * cols + c
-        if np.any(np.diff(pos) <= 0):
+        if np.any(np.diff(_row_ids(indptr) * cols + c) <= 0):
             raise ValueError("row support must be strictly increasing")
-        self._store(int(rows), int(cols), pos)
+        self._keep(int(rows), int(cols), indptr, c)
 
-    def _store(self, rows: int, cols: int, pos: np.ndarray) -> None:
-        """Keep the entries at sorted, distinct row-major positions row*cols + col."""
+    def _keep(self, rows: int, cols: int, indptr, indices) -> None:
+        """Hold CSR arrays whose rows are already sorted and distinct, read-only."""
         self.rows = rows
         self.cols = cols
-        self.indptr = _bounds(np.bincount(pos // cols, minlength=rows))
-        self.indices = (pos % cols).astype(_IDX)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=_IDX)
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
 
     @classmethod
-    def _from_coords(cls, rows: int, cols: int, r, c) -> "SparseBinMatrix":
-        """Matrix with a 1 at each (r[t], c[t]): distinct, in any order."""
+    def _from_csr(cls, rows: int, cols: int, indptr, indices) -> "SparseBinMatrix":
+        """Matrix over CSR arrays whose rows are already sorted and distinct."""
         m = cls.__new__(cls)
-        # Stable is linear on the sorted runs that kron, vec_kron and vstack pass.
-        m._store(rows, cols, np.sort(np.asarray(r, dtype=np.int64) * cols + c, kind="stable"))
+        m._keep(rows, cols, indptr, indices)
         return m
+
+    @classmethod
+    def _from_coords(cls, rows: int, cols: int, r, c) -> "SparseBinMatrix":
+        """Matrix with a 1 at each (r[t], c[t]): distinct, and each row's
+        columns in increasing order of t, as kron, vec_kron, transpose and
+        from_dense emit them."""
+        r = np.asarray(r, dtype=np.int64)
+        # Stable keeps each row's columns in order; it is linear on sorted runs.
+        order = np.argsort(r, kind="stable")
+        return cls._from_csr(rows, cols, _bounds(np.bincount(r, minlength=rows)), np.asarray(c)[order])
 
     @classmethod
     def identity(cls, n: int) -> "SparseBinMatrix":
@@ -178,10 +191,12 @@ def vstack(mats) -> SparseBinMatrix:
     for m in mats[1:]:
         if m.cols != cols:
             raise ValueError(f"column mismatch in vstack: {m.cols} != {cols}")
-    first = _bounds([m.rows for m in mats])
-    r = np.concatenate([_row_ids(m.indptr) + off for m, off in zip(mats, first)])
-    c = np.concatenate([m.indices for m in mats])
-    return SparseBinMatrix._from_coords(int(first[-1]), cols, r, c)
+    # Each operand's rows follow the last one's entries: its indptr moves up
+    # by the entries above it, and its sorted rows stand as they are.
+    first = _bounds([m.nnz for m in mats])
+    indptr = np.concatenate([m.indptr[:-1] + off for m, off in zip(mats, first)] + [first[-1:]])
+    indices = np.concatenate([m.indices for m in mats])
+    return SparseBinMatrix._from_csr(sum(m.rows for m in mats), cols, indptr, indices)
 
 
 def kron(a: SparseBinMatrix, b: SparseBinMatrix) -> SparseBinMatrix:
@@ -293,7 +308,10 @@ class PermutationArray:
 
     @classmethod
     def identity(cls, n_a: int, n_b: int) -> "PermutationArray":
-        return cls(n_a, [np.arange(n_a)] * n_b)
+        pa = cls(n_a, [])  # checks n_a; identity rows need no sort
+        pa.perms = np.tile(np.arange(n_a, dtype=np.int64), (n_b, 1))
+        pa.perms.flags.writeable = False
+        return pa
 
     @classmethod
     def random(cls, n_a: int, n_b: int, rng: np.random.Generator) -> "PermutationArray":
@@ -312,6 +330,8 @@ class PermutationArray:
 
         Block j has a 1 at (i, perms[j][i]).
         """
-        n_a = self.n_a
-        k = np.arange(self.perms.size)  # entry k: row k % n_a of block k // n_a
-        return SparseBinMatrix._from_coords(n_a, k.size, k % n_a, k - k % n_a + self.perms.ravel())
+        n_a, n_b = self.n_a, len(self.perms)
+        # Row i holds j*n_a + perms[j][i] for j = 0, 1, ...: one column per
+        # block, so the row is sorted as written.
+        cols = self.perms.T + np.arange(0, n_a * n_b, n_a)
+        return SparseBinMatrix._from_csr(n_a, n_a * n_b, np.arange(n_a + 1) * n_b, cols.ravel())

@@ -16,6 +16,7 @@ reads and writes the column code's words through this map alone.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -124,7 +125,19 @@ def load_permutation_array(path) -> PermutationArray:
         raise ValueError(f"{path}: expected a JSON object with a perms list")
     n_a = doc.get("n_a")
     check_int("n_a", n_a, 1)
-    for j, p in enumerate(doc["perms"]):
+    blocks = doc["perms"]
+    # Checked in bulk: lists of plain ints (bool is not one), one table of
+    # n_a columns, entries in 1..n_a.  A file that fails is read again block
+    # by block, so the message names its first bad block.
+    if all(type(p) is list for p in blocks) and set(map(type, chain.from_iterable(blocks))) <= {int}:
+        try:
+            table = np.array(blocks, dtype=np.int64).reshape(len(blocks), n_a)
+        except (ValueError, OverflowError):  # ragged blocks, or an entry past int64
+            pass
+        else:
+            if table.size == 0 or (table.min() >= 1 and table.max() <= n_a):
+                return PermutationArray(n_a, table - 1)
+    for j, p in enumerate(blocks):
         if not isinstance(p, list) or not all(type(v) is int and 1 <= v <= n_a for v in p):
             raise ValueError(f"{path}: block {j} must be a list of integers in 1..{n_a}")
-    return PermutationArray(n_a, [np.asarray(p, dtype=np.int64) - 1 for p in doc["perms"]])
+    return PermutationArray(n_a, [np.asarray(p, dtype=np.int64) - 1 for p in blocks])

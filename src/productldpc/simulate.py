@@ -48,7 +48,10 @@ MAX_WORKERS = 64
 #   spc:30 squared         1,891: 1.89    mscmpc:64:8,9 squared   22,185: 0.76
 #   mscmpc:25:5,6 squared  4,026: 1.68    mscmpc:81:9,10 squared  34,390: 0.68
 #   mscmpc:36:6,7 squared  7,735: 1.23
-_LANE_EDGES = 2**14
+# Re-measured over 6 pairs (1,500 and 1,200 frames): 7,735 edges 1.20
+# (q1-q3 1.16-1.26, slower in 6 of 6), 13,560 edges 0.89 (0.76-1.00,
+# faster in 5 of 6).  The ratio crosses 1 near 11,400 edges.
+_LANE_EDGES = 11_000
 
 
 def _noise_variance(rate: float, ebn0_db: float) -> float:

@@ -307,6 +307,20 @@ def test_bound_rejects_non_finite_ebn0(runner, tmp_path, ebn0):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("ebn0, token", [("1_0,2", "1_0"), ("2,1_0", "1_0"), ("0:4:1_0", "1_0")],
+                         ids=["list", "list-last", "range-step"])
+def test_bound_refuses_digit_separators_in_ebn0(runner, tmp_path, ebn0, token):
+    # Python's float() reads "1_0" as 10, which would write a 10 dB row.
+    result = runner.invoke(
+        main,
+        ["bound", "--weight", "4", "--multiplicity", "3", "--n", "9", "--k", "4",
+         "--ebn0", ebn0, "--out", str(tmp_path / "x.csv")],
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: Eb/N0 value {token!r} is not a number\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("ebn0", ["0:1e9:1e-9", "-1e308:1e308:1"],
                          ids=["1e18-points", "inf-points"])
 def test_bound_rejects_oversized_ebn0_range_before_building_it(runner, tmp_path, ebn0):
@@ -356,14 +370,30 @@ def test_encode_accepts_only_binary_bits(runner, tmp_path, token):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("doc", [
-    [[1, 2, 3]] * 3,
-    {"n_a": 3, "perms": 5},
-    {"n_a": 3, "perms": [[1.5, 2, 3], [1, 2, 3], [1, 2, 3]]},
-    {"n_a": 3, "perms": [[True, 2, 3], [1, 2, 3], [1, 2, 3]]},
-    {"n_a": 3.9, "perms": [[1, 2, 3]] * 3},
-], ids=["top-level-array", "scalar-perms", "float-entry", "bool-entry", "float-n_a"])
-def test_construct_rejects_malformed_permutation_file(runner, tmp_path, doc):
+@pytest.mark.parametrize("doc, message", [
+    ([[1, 2, 3]] * 3, "{path}: expected a JSON object with a perms list"),
+    ({"n_a": 3, "perms": 5}, "{path}: expected a JSON object with a perms list"),
+    ({"n_a": 3, "perms": [[1.5, 2, 3], [1, 2, 3], [1, 2, 3]]},
+     "{path}: block 0 must be a list of integers in 1..3"),
+    ({"n_a": 3, "perms": [[True, 2, 3], [1, 2, 3], [1, 2, 3]]},
+     "{path}: block 0 must be a list of integers in 1..3"),
+    ({"n_a": 3.9, "perms": [[1, 2, 3]] * 3}, "n_a must be an integer, got 3.9"),
+    # The bulk check must name the same block as a block-by-block read.
+    ({"n_a": 3, "perms": [[1, 2, 3], [1, 0, 3], [1, 2, 3]]},
+     "{path}: block 1 must be a list of integers in 1..3"),
+    ({"n_a": 3, "perms": [[1, 2, 3], [1, 2, 3], [4, 2, 3]]},
+     "{path}: block 2 must be a list of integers in 1..3"),
+    ({"n_a": 3, "perms": [[1, 2, 3], [1, 2**70, 3], [1, 2, 3]]},
+     "{path}: block 1 must be a list of integers in 1..3"),
+    ({"n_a": 3, "perms": [[1, 2, 3], [1, 2, "3"], [1, 2, 3]]},
+     "{path}: block 1 must be a list of integers in 1..3"),
+    ({"n_a": 3, "perms": [[1, 2, 3], {"1": 2}, [1, 2, 3]]},
+     "{path}: block 1 must be a list of integers in 1..3"),
+    ({"n_a": 3, "perms": [[1, 2, 3], [1, 2, 3], [1, 2]]}, "block 2 is not a permutation of 0..2"),
+], ids=["top-level-array", "scalar-perms", "float-entry", "bool-entry", "float-n_a",
+        "zero-entry", "entry-past-n_a", "entry-past-int64", "string-entry", "non-list-block",
+        "short-block"])
+def test_construct_rejects_malformed_permutation_file(runner, tmp_path, doc, message):
     perms = tmp_path / "perms.json"
     perms.write_text(json.dumps(doc))
     out_path = tmp_path / "h.alist"
@@ -372,9 +402,28 @@ def test_construct_rejects_malformed_permutation_file(runner, tmp_path, doc):
         ["construct", "--comp-a", "spc:2", "--comp-b", "spc:2",
          "--perms", str(perms), "--out", str(out_path)],
     )
-    out = result.output.strip()
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert out.startswith("error:") and "\n" not in out
+    assert result.output == "error: " + message.format(path=perms) + "\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1_0", "LLR '1_0' is not a number"),
+    ("-2_5.0", "LLR '-2_5.0' is not a number"),
+    ("x", "could not convert string to float: 'x'"),
+], ids=["digit-separator", "signed-separator", "word"])
+def test_decode_rejects_malformed_llr(runner, tmp_path, token, message):
+    h_path = tmp_path / "h.alist"
+    runner.invoke(main, ["construct", "--comp-a", "spc:2", "--comp-b", "spc:2",
+                         "--out", str(h_path)])
+    llr_path = tmp_path / "llr.txt"
+    llr_path.write_text(" ".join(["1.5"] * 8 + [token]))
+    out_path = tmp_path / "hard.txt"
+    result = runner.invoke(
+        main, ["decode", "--in", str(h_path), "--llr", str(llr_path), "--out", str(out_path)]
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: {message}\n"
     assert not out_path.exists()
 
 

@@ -60,6 +60,16 @@ def _supports(d):
     return [np.nonzero(row)[0].tolist() for row in d]
 
 
+def _assert_csr_of(m, dense):
+    """m is from_dense(dense) array for array: same values and dtypes, read-only."""
+    ref = SparseBinMatrix.from_dense(dense)
+    assert (m.rows, m.cols) == (ref.rows, ref.cols)
+    assert m.indptr.dtype == np.int64 and m.indices.dtype == np.int32
+    for got, want in ((m.indptr, ref.indptr), (m.indices, ref.indices)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
 class TestSparseBinMatrix:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
@@ -129,10 +139,10 @@ class TestSparseBinMatrix:
     @PROPERTY
     @given(st.data())
     def test_vstack_against_dense(self, data):
-        top = data.draw(_dense())
-        bottom = data.draw(_dense(cols=top.shape[1]))
-        a, b = SparseBinMatrix.from_dense(top), SparseBinMatrix.from_dense(bottom)
-        assert np.array_equal(vstack([a, b]).to_dense(), np.vstack([top, bottom]))
+        # 1 to 4 operands, with 0 to 4 rows each.
+        cols = data.draw(st.integers(0, 5))
+        parts = data.draw(st.lists(_dense(cols=cols), min_size=1, max_size=4))
+        _assert_csr_of(vstack([SparseBinMatrix.from_dense(p) for p in parts]), np.vstack(parts))
 
     @PROPERTY
     @given(st.data(), st.sampled_from(["out-of-range", "unsorted", "duplicate", "2-D"]))
@@ -358,7 +368,12 @@ class TestPermutationArray:
         expected = np.zeros((n_a, n_a * len(perms)), dtype=np.uint8)
         for j, p in enumerate(perms):
             expected[np.arange(n_a), j * n_a + np.array(p)] = 1
-        assert np.array_equal(PermutationArray(n_a, perms).to_matrix().to_dense(), expected)
+        _assert_csr_of(PermutationArray(n_a, perms).to_matrix(), expected)
+        # n_b = 0 comes up too: an n_a x 0 matrix.
+        identity = PermutationArray.identity(n_a, len(perms))
+        assert identity == PermutationArray(n_a, [range(n_a)] * len(perms))
+        assert identity.perms.dtype == np.int64 and not identity.perms.flags.writeable
+        _assert_csr_of(identity.to_matrix(), np.tile(np.eye(n_a, dtype=np.uint8), len(perms)))
 
     def test_random_is_valid(self, rng):
         pa = PermutationArray.random(9, 4, rng)
