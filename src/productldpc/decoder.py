@@ -6,24 +6,24 @@ early exit on a zero syndrome.  Positive LLR means bit 0 is more
 likely.  Message magnitudes are clamped to CLAMP_LLR before the tanh to
 keep the log-domain transform finite.
 
-The decoder owns its edge plan, built once per H and kept for the last
-H decoded.  Threads that decode the same H, such as the CPU lanes of a
-one-worker sweep, share that one plan; concurrent calls that find it
-cold may each build one (1.2 ms at full size), and the last one built
-is kept.  The plan buckets the checks by degree: each bucket holds its
-edges as a C-contiguous (degree, checks) array, so the check-node update
-is a sum and a parity along axis 0 broadcast back over the bucket's
-edges, in the check-centred layout of Hu, Eleftheriou, Arnold and
-Dholakia ("Efficient implementations of the sum-product algorithm for
-decoding LDPC codes", GLOBECOM 2001).  One flat edge order spans all
-buckets for the elementwise work.  Every sum is taken in a fixed order
-that does not depend on the layout: within a check, the order in which
+Each thread that decodes owns its decoder state: the edge plan of the
+last H it decoded, with the work arrays of a decode over it, built once
+per H (1.2 ms at full size) and reused frame after frame.  The plan
+buckets the checks by degree: each bucket holds its edges as a
+C-contiguous (degree, checks) array, so the check-node update is a sum
+and a parity along axis 0 broadcast back over the bucket's edges, in
+the check-centred layout of Hu, Eleftheriou, Arnold and Dholakia
+("Efficient implementations of the sum-product algorithm for decoding
+LDPC codes", GLOBECOM 2001).  One flat edge order spans all buckets for
+the elementwise work.  Every sum is taken in a fixed order that does
+not depend on the layout: within a check, the order in which
 ``np.add.reduceat`` adds one segment; at a variable, ascending check
 index.  Decisions are therefore reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +42,8 @@ class DecodeResult:
 
 
 class _EdgePlan:
-    """Degree-bucketed edge layout of one H.
+    """The decoder's whole state for one H: its degree-bucketed edge
+    layout and the work arrays of a decode over it.
 
     Flat edge order: bucket after bucket in ascending check degree d;
     inside a bucket of C checks, position in the check major and check
@@ -50,14 +51,16 @@ class _EdgePlan:
     C-contiguous (d, C) array.  ``var[e]`` is the variable of flat edge
     e.  ``var_edges[k, v]`` is the flat edge of the k-th check of
     variable v in ascending check order; variables with fewer checks
-    point at the slot ``n_edges``, which holds 0.
+    point at the slot ``n_edges``, which holds 0.  ``buckets`` holds each
+    bucket's (d, C) views of ``beta``, ``excl``, ``neg`` and ``flip``.
     """
 
     def __init__(self, H: SparseBinMatrix) -> None:
+        self.H = H
         indptr, indices = H.indptr, H.indices
         deg = np.diff(indptr)
         degrees = np.unique(deg[deg > 0])
-        self.shapes = [(int(d), int(np.count_nonzero(deg == d))) for d in degrees]
+        shapes = [(int(d), int(np.count_nonzero(deg == d))) for d in degrees]
         # CSR position (check-sorted edge index) of each flat edge.
         csr_pos = np.concatenate(
             [(indptr[:-1][deg == d] + np.arange(d)[:, None]).ravel() for d in degrees]
@@ -76,26 +79,34 @@ class _EdgePlan:
         self.var_edges = np.full((var_deg.max(initial=0), H.cols), e, dtype=np.intp)
         self.var_edges[rank, indices[by_var]] = flat_of[by_var]
 
+        # excl: the exclusive sum of phi, then -phi of it; v2c is spent by then.
+        self.v2c = self.excl = np.empty(e)
+        self.beta = np.empty(e)  # -phi(|v2c|)
+        self.c2v_pad = np.zeros(e + 1)  # the last slot stays 0 for var_edges
+        self.c2v = self.c2v_pad[:e]
+        self.neg = np.empty(e, dtype=bool)
+        self.flip = np.empty(e, dtype=bool)
+        self.terms = np.empty(self.var_edges.shape)  # each variable's incoming c2v
+        bounds = np.cumsum([0] + [d * c for d, c in shapes])
+        self.buckets = [
+            tuple(a[lo:hi].reshape(d, c) for a in (self.beta, self.excl, self.neg, self.flip))
+            for (d, c), lo, hi in zip(shapes, bounds, bounds[1:])
+        ]
 
-_last_plan: tuple = (None, None)
+
+_local = threading.local()
 
 
 def _plan(H: SparseBinMatrix) -> _EdgePlan:
-    # One entry, holding H itself: a sweep decodes one code at a time
-    # (a pool worker receives its code once, when it starts), so the
-    # entry stays warm for the whole sweep, and a larger cache would only
-    # keep the codes of finished sweeps alive.  The old entry goes before
-    # the new plan is built, so the two never coexist.  The entry is read
-    # once and the plan returned is the one read or built here, so a call
-    # on another thread that swaps the entry in between cannot hand this
-    # one the plan of another H, or none.
-    global _last_plan
-    held, plan = _last_plan
-    if held is not H:
-        _last_plan = (None, None)
-        plan = _EdgePlan(H)
-        _last_plan = (H, plan)
-    return plan
+    # This thread's state, for the last H it decoded: a pool worker or a
+    # CPU lane decodes one code per sweep, so the state stays warm for
+    # the whole sweep, and a larger cache would only keep the codes of
+    # finished sweeps alive.  No name holds the old state while the new
+    # one is built, so the two never coexist.
+    if getattr(_local, "plan", None) is None or _local.plan.H is not H:
+        _local.plan = None
+        _local.plan = _EdgePlan(H)
+    return _local.plan
 
 
 def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
@@ -146,21 +157,9 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
         # No constraints: the channel decision already satisfies H.
         return DecodeResult((llr < 0).astype(np.uint8), 1, True)
 
-    e = plan.n_edges
-    v2c = np.empty(e)
-    beta = np.empty(e)  # -phi(|v2c|)
-    excl = v2c  # exclusive sum of phi, then -phi of it; v2c is spent by then
-    c2v_pad = np.zeros(e + 1)  # the last slot stays 0 for var_edges
-    c2v = c2v_pad[:e]
-    neg = np.empty(e, dtype=bool)
-    flip = np.empty(e, dtype=bool)
-    terms = np.empty(plan.var_edges.shape)  # each variable's incoming c2v
-    buckets = []
-    start = 0
-    for d, c in plan.shapes:
-        block = slice(start, start + d * c)
-        buckets.append(tuple(a[block].reshape(d, c) for a in (beta, excl, neg, flip)))
-        start += d * c
+    v2c, beta, excl, c2v, neg, flip, terms, buckets = (
+        plan.v2c, plan.beta, plan.excl, plan.c2v, plan.neg, plan.flip, plan.terms, plan.buckets)
+    c2v.fill(0.0)
 
     # The plan's indices are in range by construction; mode="clip" lets
     # np.take write straight into `out`, which the default mode buffers.
@@ -191,7 +190,7 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
         c2v -= 1.0  # minus the sign of each outgoing message
         c2v *= excl
         # The previous posterior was consumed by this iteration's gather.
-        np.take(c2v_pad, plan.var_edges, out=terms, mode="clip")
+        np.take(plan.c2v_pad, plan.var_edges, out=terms, mode="clip")
         posterior = terms[0]
         for row in terms[1:]:
             posterior += row

@@ -8,10 +8,11 @@ once enough frame errors (or the frame cap) have accumulated, so results
 are identical whichever executor ran the chunks.  With more than one
 worker the executor is one process pool: each worker receives the code
 once, when it starts (never pickled under fork, pickled once per worker
-under spawn), so a submit carries only the chunk's numbers and the
-decoder's edge plan stays built for the whole sweep.  With one worker,
-if H has at least _LANE_EDGES edges, it is a pool of one thread per
-usable CPU (the CPU lanes), whose numpy calls overlap; otherwise the
+under spawn), so a submit carries only the chunk's numbers, and the
+decoder state that the worker builds stays built for the whole sweep.
+With one worker, if H has at least _LANE_EDGES edges, it is a pool of
+one thread per usable CPU (the CPU lanes), whose numpy calls overlap
+and which each build their own decoder state once; otherwise the
 chunks run in process, one at a time, and no chunk past the stop is
 decoded.  A new chunk is submitted whenever a slot is free, unless the
 chunks in flight are expected to finish the point, so at most one chunk
@@ -120,9 +121,11 @@ def _run_chunk(code, ebn0_db: float, n_frames: int, seed, point_idx: int,
     """Simulate one chunk of frames; returns raw counters.
 
     Every frame is drawn first, in stream order (info word, encode,
-    noise, LLRs), and the frames are then decoded one after another;
-    drawing and decoding frame by frame ran 2 pool workers at 4.5 dB
-    2-5 % slower.
+    noise, LLRs), and the frames are then decoded one after another.
+    Drawing and decoding frame by frame ran 2 pool workers at 4.5 dB
+    slower, though the decoder allocates nothing per frame: 1.078x the
+    wall time (q1-q3 0.991-1.136, slower in 17 of 24 alternating pairs
+    on 2 cores), for 1 % less peak memory.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(point_idx, chunk_idx))

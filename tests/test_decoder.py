@@ -15,7 +15,7 @@ from productldpc import (
     spa_decode,
     syndrome,
 )
-from productldpc.decoder import _EdgePlan
+from productldpc.decoder import _EdgePlan, _plan
 from test_decoder_reference import reference_spa_decode
 
 
@@ -262,9 +262,9 @@ class TestEdgePlan:
         assert np.array_equal(res.hard_bits, ref.hard_bits)
 
     def test_threads_swapping_the_plan_decode_as_one(self, pc144, spc3):
-        # Every thread shares the one plan entry.  Eight threads on two
-        # codes, switching every microsecond, swap it back and forth; each
-        # decode must still use its own code's plan.
+        # Eight threads on two codes, switching every microsecond: each
+        # swaps its own state back and forth between the codes, and must
+        # decode every frame as one thread alone does.
         codes = [pc144, build_hp(spc3, spc3)]
         rng = np.random.default_rng(7)
         frames = [(c.H, rng.normal(1.0, 1.5, c.n)) for _ in range(4) for c in codes]
@@ -282,3 +282,23 @@ class TestEdgePlan:
         finally:
             sys.setswitchinterval(interval)
         assert got == [want] * 8
+
+    def test_a_decode_on_another_thread_leaves_this_threads_state(self, pc144, spc3):
+        # Each thread holds its own state, so decoding another code on
+        # other threads neither replaces this thread's nor writes to it.
+        other = build_hp(spc3, spc3)
+        rng = np.random.default_rng(11)
+        frames = [rng.normal(1.0, 1.5, pc144.n) for _ in range(4)]
+        other_frames = [rng.normal(1.0, 1.5, other.n) for _ in range(16)]
+
+        def decisions():
+            return [(r.hard_bits.tobytes(), r.iterations_used, r.converged)
+                    for r in (spa_decode(pc144.H, llr, max_iter=20) for llr in frames)]
+
+        want = decisions()
+        state = _plan(pc144.H)
+        with ThreadPoolExecutor(4) as pool:
+            list(pool.map(lambda llr: spa_decode(other.H, llr, max_iter=20), other_frames,
+                          timeout=60))
+        assert _plan(pc144.H) is state
+        assert decisions() == want

@@ -160,7 +160,7 @@ def test_agrees_with_reference(codes, name, seed):
 
 
 def test_alternating_codes_reuse_no_stale_plan(codes):
-    # The plan cache holds one H; switching back and forth must rebuild.
+    # A thread's state holds one H; switching back and forth must rebuild it.
     rng = np.random.default_rng(5)
     for _ in range(3):
         for H in (codes["pc144"], codes["mixed"]):

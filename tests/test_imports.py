@@ -1,4 +1,5 @@
-"""What the package modules may import, and which may define a code.
+"""What the package modules may import, which may define a code, and which
+may hold a `global` statement.
 
 Only the sweep, the CLI and the package's public namespace decode; the
 construction and analysis layers must stay importable without it.  The
@@ -6,8 +7,10 @@ runtime is numpy and click alone: no module imports scipy, and the
 analysis layer takes from the package only its GF(2) helpers, so it
 reads any code by its fields.  Every code follows one protocol, defined
 by the component and product modules alone, so no second code class can
-grow elsewhere.  The `ast` pins see only import statements; a fresh
-interpreter with scipy blocked catches the imports they cannot see.
+grow elsewhere.  Only the sweep rebinds a module name at run time, for
+its pool worker's code; the decoder keeps its state per thread.  The
+`ast` pins see only what they name; a fresh interpreter with scipy
+blocked catches the imports they cannot see.
 """
 
 import ast
@@ -74,6 +77,12 @@ def test_analysis_takes_only_gf2_from_the_package():
 def test_only_the_component_and_product_modules_define_codes():
     definers = {name for name, source in _sources().items() if _defines_an_encoder(source)}
     assert definers == {"components.py", "product.py"}
+
+
+def test_only_the_sweep_has_a_global_statement():
+    setters = {name for name, source in _sources().items()
+               if any(isinstance(node, ast.Global) for node in ast.walk(ast.parse(source)))}
+    assert setters == {"simulate.py"}
 
 
 def test_bound_runs_with_scipy_blocked(tmp_path):
