@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import SparseBinMatrix
+from .gf2 import SparseBinMatrix, _bounds
 
 
 class ComponentCode:
@@ -106,14 +106,20 @@ def build_mscmpc(k: int, r_list) -> ComponentCode:
     if len(set(r_list)) != len(r_list):
         raise ValueError("stage redundancies must be pairwise distinct")
     n = k + sum(r_list)
-    support = []
+    # Row p of a stage holds the stage input's columns p, p + r_j, ... below
+    # stage_start, then its parity column stage_start + p: increasing, so the
+    # rows go straight into CSR, a stage at a time.
+    pieces, widths = [], []
     stage_start = k
     for r_j in r_list:
-        for p in range(r_j):
-            covered = np.arange(p, stage_start, r_j, dtype=np.int64)
-            support.append(np.append(covered, stage_start + p))
+        p = np.arange(r_j)[:, None]
+        cols = np.hstack([p + r_j * np.arange(-(-stage_start // r_j)), p + stage_start])
+        keep = cols < stage_start
+        keep[:, -1] = True
+        pieces.append(cols[keep])
+        widths.append(keep.sum(axis=1))
         stage_start += r_j
-    H = SparseBinMatrix(n - k, n, support)
+    H = SparseBinMatrix._from_csr(n - k, n, _bounds(np.concatenate(widths)), np.concatenate(pieces))
     if _violates_row_column_constraint(H):
         raise ValueError(
             f"k={k}, stages {r_list} put two parity rows on two shared "
@@ -123,18 +129,27 @@ def build_mscmpc(k: int, r_list) -> ComponentCode:
     return ComponentCode(n, k, H, label)
 
 
+def _count(token: str) -> int:
+    """A count in ASCII digits: int() would also read '3_0', '+3', ' 3' or
+    full-width digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a count")
+    return int(token)
+
+
 def parse_component_spec(text: str) -> ComponentCode:
     """Build a component from its textual form.
 
-    Grammar: ``spc:k`` or ``mscmpc:k:r1,r2,...``.
+    Grammar: ``spc:k`` or ``mscmpc:k:r1,r2,...``, every number in ASCII
+    digits.
     """
     parts = text.strip().split(":")
     try:
         if parts[0] == "spc" and len(parts) == 2:
-            return build_spc(int(parts[1]))
+            return build_spc(_count(parts[1]))
         if parts[0] == "mscmpc" and len(parts) == 3:
-            r_list = [int(tok) for tok in parts[2].split(",") if tok]
-            return build_mscmpc(int(parts[1]), r_list)
+            r_list = [_count(tok) for tok in parts[2].split(",") if tok]
+            return build_mscmpc(_count(parts[1]), r_list)
     except ValueError as exc:
         raise ValueError(f"invalid component spec {text!r}: {exc}") from exc
     raise ValueError(

@@ -6,9 +6,12 @@ strictly increasing order, and ``transpose()`` reads a matrix by
 columns.  A result whose rows come out sorted is written straight into
 CSR: ``vstack`` offsets and joins its operands' arrays, and
 ``PermutationArray.to_matrix`` writes each row as it reads the table.
-Products and the transpose emit every row's columns in increasing order,
-so one stable sort by row puts them in place.  Bit vectors cross the module boundary as 0/1 integer arrays;
-any packed representation (e.g. for rank elimination) stays internal.
+``kron`` and ``vec_kron`` work out each entry's CSR slot from their
+operands' row pointers and write it with one scatter; only the transpose
+and ``from_dense``, which emit every row's columns in increasing order,
+place entries by one stable sort on the row.  Bit vectors cross the
+module boundary as 0/1 integer arrays; any packed representation (e.g.
+for rank elimination) stays internal.
 
 The module imports nothing from the package, so it is also the home of
 what every layer shares: ``check_int``, the count check applied to
@@ -87,6 +90,8 @@ class SparseBinMatrix:
     def __init__(self, rows: int, cols: int, row_support) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
+        check_int("rows", rows, 0)
+        check_int("cols", cols, 0)
         if len(row_support) != rows:
             raise ValueError(f"expected {rows} support lists, got {len(row_support)}")
         supports = [np.asarray(r) for r in row_support]
@@ -124,8 +129,8 @@ class SparseBinMatrix:
     @classmethod
     def _from_coords(cls, rows: int, cols: int, r, c) -> "SparseBinMatrix":
         """Matrix with a 1 at each (r[t], c[t]): distinct, and each row's
-        columns in increasing order of t, as kron, vec_kron, transpose and
-        from_dense emit them."""
+        columns in increasing order of t, as transpose and from_dense emit
+        them."""
         r = np.asarray(r, dtype=np.int64)
         # Stable keeps each row's columns in order; it is linear on sorted runs.
         order = np.argsort(r, kind="stable")
@@ -133,13 +138,15 @@ class SparseBinMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SparseBinMatrix":
-        return cls._from_coords(n, n, np.arange(n), np.arange(n))
+        return cls._from_csr(n, n, np.arange(n + 1), np.arange(n))
 
     @classmethod
     def from_dense(cls, a) -> "SparseBinMatrix":
         a = np.asarray(a)
         if a.ndim != 2:
             raise ValueError("dense input must be two-dimensional")
+        if a.dtype.kind not in "biu":
+            raise ValueError(f"dense input must be bool or integer, got {a.dtype}")
         return cls._from_coords(a.shape[0], a.shape[1], *np.nonzero(a % 2))
 
     def to_dense(self) -> np.ndarray:
@@ -201,10 +208,20 @@ def vstack(mats) -> SparseBinMatrix:
 
 def kron(a: SparseBinMatrix, b: SparseBinMatrix) -> SparseBinMatrix:
     """Kronecker product: entry ((i*b.rows+u),(j*b.cols+v)) = a[i,j]*b[u,v]."""
-    r = _row_ids(a.indptr)[:, None] * b.rows + _row_ids(b.indptr)
-    c = a.indices.astype(np.int64)[:, None] * b.cols + b.indices
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    return SparseBinMatrix._from_coords(rows, cols, r.ravel(), c.ravel())
+    wa, wb = np.diff(a.indptr), np.diff(b.indptr)
+    first = np.repeat(a.indptr[:-1], wa)  # where each entry's row of a starts
+    # Row (i, u) holds wa[i] * wb[u] entries from a.indptr[i] * b.nnz +
+    # wa[i] * b.indptr[u] on; the pair of a's entry e, s-th in its row,
+    # and b's entry f, t-th in its row, sits s * wb[u] + t past that.
+    start = (first * b.nnz)[:, None] + np.repeat(wa, wa)[:, None] * b.indptr[:-1]
+    start += (np.arange(a.nnz) - first)[:, None] * wb
+    rb = _row_ids(b.indptr)
+    slot = start[:, rb]
+    slot += np.arange(b.nnz) - b.indptr[rb]
+    indices = np.empty(a.nnz * b.nnz, dtype=_IDX)
+    indices[slot] = a.indices[:, None] * b.cols + b.indices
+    indptr = _bounds((wa[:, None] * wb).ravel())
+    return SparseBinMatrix._from_csr(a.rows * b.rows, a.cols * b.cols, indptr, indices)
 
 
 def vec_kron(a: SparseBinMatrix, bbar: SparseBinMatrix, w: int) -> SparseBinMatrix:
@@ -213,26 +230,55 @@ def vec_kron(a: SparseBinMatrix, bbar: SparseBinMatrix, w: int) -> SparseBinMatr
     `bbar` is read as `a.cols` adjacent blocks of `w` columns.  Block i of
     the result is the plain Kronecker product of a's i-th column with
     bbar's i-th block, so the output is (a.rows*bbar.rows) x bbar.cols.
+    Row (i, u) of the result is row u of bbar cut down to the blocks that
+    row i of a holds.
+
+    The work is one index grid per run of adjacent bbar rows that hold
+    equal counts in every block and per rank of an entry within its
+    block: a table of permutations, one entry per (row, block), is one
+    grid, while a bbar whose rows all differ takes one grid per row.
     """
     if w <= 0:
         raise ValueError("block width must be positive")
+    check_int("block width", w, 1)
     if bbar.cols != w * a.cols:
         raise ValueError(
             f"block operand has {bbar.cols} columns, expected "
             f"{w} * {a.cols} = {w * a.cols}"
         )
-    # bbar's entries grouped by block, block j holding [lo[j], lo[j + 1]).
-    block = bbar.indices // w
-    order = np.argsort(block, kind="stable")
-    lo = _bounds(np.bincount(block, minlength=a.cols))
-    # Pair each entry (i, j) of a with every bbar entry (u, c) of block j.
-    count = np.diff(lo)[a.indices]
-    a_of = np.repeat(np.arange(a.nnz), count)
-    skip = _bounds(count)[:-1] - lo[a.indices]
-    b_of = order[np.arange(a_of.size) - np.repeat(skip, count)]
-    r = _row_ids(a.indptr)[a_of] * bbar.rows + _row_ids(bbar.indptr)[b_of]
-    c = bbar.indices[b_of]
-    return SparseBinMatrix._from_coords(a.rows * bbar.rows, bbar.cols, r, c)
+    rows, aj, ra = bbar.rows, a.indices.astype(np.intp), _row_ids(a.indptr)
+    # size[u, j]: bbar's row-u entries in block j, consecutive in the row.
+    run = np.repeat(np.arange(rows) * a.cols, np.diff(bbar.indptr))
+    run += bbar.indices // w
+    size = np.bincount(run, minlength=rows * a.cols).reshape(rows, a.cols)
+    # Rows with equal counts are laid out alike: a group is a run of
+    # adjacent such rows, starting wherever a row differs from the last.
+    new = np.ones(rows, dtype=bool)
+    new[1:] = (size[1:] != size[:-1]).any(axis=1)
+    cut = np.flatnonzero(new)
+    counts = size[cut]  # one row of block counts per group
+    # For a's entry e = (i, j) and a row u of group g, output row (i, u)
+    # holds the n[g, e] entries of bbar's row u in block j from before[g, e]
+    # on, after those of a's earlier entries in row i.
+    n = counts[:, aj]
+    sums = np.zeros((len(cut), a.nnz + 1), dtype=np.int64)
+    np.cumsum(n, axis=1, out=sums[:, 1:])
+    before = sums[:, :-1] - sums[:, a.indptr[ra]]
+    widths = sums[:, a.indptr[1:]] - sums[:, a.indptr[:-1]]  # (groups, a.rows)
+    indptr = _bounds(widths[np.cumsum(new) - 1].T.ravel())  # rows (i, u) in order
+    row_start = indptr[:-1].reshape(a.rows, rows)
+    # Block j's entries start skip[g, j] entries into a row of group g.
+    skip = np.cumsum(counts, axis=1) - counts
+    indices = np.empty(indptr[-1], dtype=_IDX)
+    for g, (lo, hi) in enumerate(zip(cut, [*cut[1:], rows])):
+        # The group's rows are adjacent and equally long: one table of entries.
+        table = bbar.indices[bbar.indptr[lo] : bbar.indptr[hi]].reshape(hi - lo, counts[g].sum())
+        for t in range(n[g].max(initial=0)):  # the t-th entry of each run
+            es = np.flatnonzero(n[g] > t)
+            slot = np.take(row_start[:, lo:hi], ra[es], axis=0)
+            slot += (before[g, es] + t)[:, None]
+            indices[slot] = np.take(table.T, skip[g, aj[es]] + t, axis=0)
+    return SparseBinMatrix._from_csr(a.rows * rows, bbar.cols, indptr, indices)
 
 
 def density(m: SparseBinMatrix) -> float:
@@ -286,18 +332,28 @@ class PermutationArray:
     __slots__ = ("n_a", "perms")
 
     def __init__(self, n_a: int, perms) -> None:
-        if n_a < 1:
-            raise ValueError("block size must be at least 1")
-        self.n_a = n_a = int(n_a)
-        blocks = [np.asarray(p) for p in perms]
-        # A block of the wrong shape or kind enters the table as a row of
-        # -1s, so the one sort below finds every bad block in block order.
-        table = np.array(
-            [b if b.shape == (n_a,) and b.dtype.kind in "iu" else np.full(n_a, -1)
-             for b in blocks],
-            dtype=np.int64,
-        ).reshape(len(blocks), n_a)
-        bad = np.flatnonzero((np.sort(table, axis=1) != np.arange(n_a)).any(axis=1))
+        self.n_a = n_a = self._block_size(n_a)
+        # An integer table of n_a columns is taken whole.  Otherwise a block
+        # of the wrong shape or kind enters the table as a row of -1s, so the
+        # one scatter below finds every bad block in block order.
+        if isinstance(perms, np.ndarray) and perms.dtype.kind in "iu" and perms.shape[1:] == (n_a,):
+            blocks = table = perms.astype(np.int64)
+        else:
+            blocks = [np.asarray(p) for p in perms]
+            table = np.array(
+                [b if b.shape == (n_a,) and b.dtype.kind in "iu" else np.full(n_a, -1)
+                 for b in blocks],
+                dtype=np.int64,
+            ).reshape(len(blocks), n_a)
+        # One scatter marks the values each block hits, in a row of n_a + 2
+        # marks: clipped to -1 or n_a, an out-of-range entry marks a spare
+        # end.  A block of n_a entries is a permutation iff it marks all of
+        # 0..n_a-1.
+        hit = np.zeros((len(table), n_a + 2), dtype=bool)
+        slot = np.clip(table, -1, n_a)
+        slot += np.arange(1, hit.size, n_a + 2)[:, None]
+        hit.ravel()[slot] = True
+        bad = np.flatnonzero(~hit[:, 1:-1].all(axis=1))
         if bad.size:
             j = int(bad[0])
             if blocks[j].size and blocks[j].dtype.kind not in "iu":
@@ -306,9 +362,18 @@ class PermutationArray:
         table.flags.writeable = False
         self.perms = table
 
+    @staticmethod
+    def _block_size(n_a) -> int:
+        if n_a < 1:
+            raise ValueError("block size must be at least 1")
+        check_int("block size", n_a, 1)
+        return int(n_a)
+
     @classmethod
     def identity(cls, n_a: int, n_b: int) -> "PermutationArray":
-        pa = cls(n_a, [])  # checks n_a; identity rows need no sort
+        pa = cls.__new__(cls)  # identity rows need no check
+        pa.n_a = n_a = cls._block_size(n_a)
+        check_int("block count", n_b, 0)
         pa.perms = np.tile(np.arange(n_a, dtype=np.int64), (n_b, 1))
         pa.perms.flags.writeable = False
         return pa

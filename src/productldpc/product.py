@@ -15,8 +15,8 @@ reads and writes the column code's words through this map alone.
 
 from __future__ import annotations
 
+import array
 import json
-from itertools import chain
 
 import numpy as np
 
@@ -53,15 +53,18 @@ class ProductCode:
         self.k = a.k * b.k
         # H_a checks only the k_b information rows, which the row code encodes; a
         # parity row's copy is redundant in the direct code and false in others.
-        hp1 = kron(SparseBinMatrix.from_dense(np.eye(b.k, b.n, dtype=np.uint8)), a.H)
+        info_rows = SparseBinMatrix._from_csr(b.k, b.n, np.arange(b.k + 1), np.arange(b.k))
+        hp1 = kron(info_rows, a.H)
         hp2 = vec_kron(b.H, table.to_matrix(), a.n)
         self.H = vstack([hp1, hp2])
         # Row q of the track map: the codeword indices of column-code word q.
-        # Its first k_b columns are gathered as they stand; the parity bits,
-        # which fill the codeword from k_b*n_a on, through the inverse order.
+        # Its first k_b columns are gathered as they stand.  The parity bits
+        # fill the codeword from k_b*n_a on, each index once, so the order
+        # that reads them back is the parity tracks' inverse, one scatter.
         tracks = (np.arange(0, self.n, a.n)[:, None] + table.perms).T
         self._info_tracks = np.ascontiguousarray(tracks[:, : b.k])
-        self._parity_order = np.argsort(tracks[:, b.k :], axis=None)
+        self._parity_order = np.empty(a.n * b.r, dtype=np.int64)
+        self._parity_order[tracks[:, b.k :].ravel() - b.k * a.n] = np.arange(a.n * b.r)
 
     @property
     def label(self) -> str:
@@ -126,17 +129,21 @@ def load_permutation_array(path) -> PermutationArray:
     n_a = doc.get("n_a")
     check_int("n_a", n_a, 1)
     blocks = doc["perms"]
-    # Checked in bulk: lists of plain ints (bool is not one), one table of
-    # n_a columns, entries in 1..n_a.  A file that fails is read again block
-    # by block, so the message names its first bad block.
-    if all(type(p) is list for p in blocks) and set(map(type, chain.from_iterable(blocks))) <= {int}:
-        try:
-            table = np.array(blocks, dtype=np.int64).reshape(len(blocks), n_a)
-        except (ValueError, OverflowError):  # ragged blocks, or an entry past int64
-            pass
-        else:
-            if table.size == 0 or (table.min() >= 1 and table.max() <= n_a):
-                return PermutationArray(n_a, table - 1)
+    # Checked in bulk: array.fromlist takes lists of ints only and reads a
+    # bool as 0 or 1, so a True can hide only among the 1s.  A file that
+    # fails is read again block by block, so the message names its first
+    # bad block.
+    flat = array.array("q")
+    try:
+        for p in blocks:
+            flat.fromlist(p)
+    except (TypeError, OverflowError):  # not a list, or an entry not an int in int64
+        flat = None
+    if flat is not None and all(len(p) == n_a for p in blocks):
+        table = np.frombuffer(flat, dtype=np.int64).reshape(len(blocks), n_a)
+        if (table.min(initial=1) >= 1 and table.max(initial=n_a) <= n_a
+                and not any(blocks[j][q] is True for j, q in zip(*np.nonzero(table == 1)))):
+            return PermutationArray(n_a, table - 1)
     for j, p in enumerate(blocks):
         if not isinstance(p, list) or not all(type(v) is int and 1 <= v <= n_a for v in p):
             raise ValueError(f"{path}: block {j} must be a list of integers in 1..{n_a}")

@@ -164,6 +164,12 @@ def test_mindist(runner, tmp_path):
     assert not doc["complete"]
 
 
+def test_mindist_refuses_a_count_with_a_digit_separator(runner):
+    result = runner.invoke(main, ["mindist", "--comp", "spc:3_0"])
+    assert result.exit_code == 1
+    assert result.output == "error: invalid component spec 'spc:3_0': '3_0' is not a count\n"
+
+
 def test_mindist_finds_no_low_weight_word_and_bound_refuses_its_spectrum(runner, tmp_path):
     spec = tmp_path / "f.json"
     result = runner.invoke(

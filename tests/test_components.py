@@ -265,7 +265,11 @@ class TestParse:
         code = parse_component_spec("mscmpc:81:9,10")
         assert (code.n, code.k) == (100, 81)
 
-    @pytest.mark.parametrize("text", ["spc", "spc:x", "mscmpc:5", "foo:1", "mscmpc:5:3,3"])
+    # int() would read the last five as spc:30, mscmpc:25:5,6, spc:3, spc:3
+    # and spc:3.
+    @pytest.mark.parametrize("text", ["spc", "spc:x", "mscmpc:5", "foo:1", "mscmpc:5:3,3",
+                                      "spc:3_0", "mscmpc:2_5:5,6", "spc:+3", "spc: 3",
+                                      "spc:\uff13"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_component_spec(text)

@@ -99,6 +99,14 @@ class TestSparseBinMatrix:
         with pytest.raises(ValueError, match="^matrix dimensions must be nonnegative$"):
             SparseBinMatrix(rows, cols, [])
 
+    @pytest.mark.parametrize("rows, cols, message", [
+        (2.0, 3, "rows must be an integer, got 2.0"),
+        (2, True, "cols must be an integer, got True"),
+    ])
+    def test_rejects_non_integer_dimensions(self, rows, cols, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SparseBinMatrix(rows, cols, [[0], [1]])
+
     @pytest.mark.parametrize("supports", [[[0]], [[0], [1], [2]]])
     def test_rejects_support_count_other_than_rows(self, supports):
         with pytest.raises(ValueError, match=f"^expected 2 support lists, got {len(supports)}$"):
@@ -108,6 +116,13 @@ class TestSparseBinMatrix:
     def test_from_dense_rejects_other_than_two_axes(self, shape):
         with pytest.raises(ValueError, match="^dense input must be two-dimensional$"):
             SparseBinMatrix.from_dense(np.ones(shape, dtype=np.uint8))
+
+    # A float 0.5 would otherwise store a 1.
+    @pytest.mark.parametrize("dense", [np.array([[0.5, 1.0]]), np.array([[0, 1]], dtype=object),
+                                       np.array([["0", "1"]])])
+    def test_from_dense_rejects_other_than_bool_or_integer(self, dense):
+        with pytest.raises(ValueError, match="^dense input must be bool or integer, got "):
+            SparseBinMatrix.from_dense(dense)
 
     def test_all_zero_row_is_representable(self):
         m = SparseBinMatrix(2, 4, [[], [0, 3]])
@@ -186,8 +201,9 @@ class TestKron:
     @PROPERTY
     @given(_dense(), _dense())
     def test_matches_numpy_kron(self, a, b):
-        out = kron(SparseBinMatrix.from_dense(a), SparseBinMatrix.from_dense(b))
-        assert np.array_equal(out.to_dense(), np.kron(a, b))
+        # Empty rows and columns and rows of several entries on both sides.
+        _assert_csr_of(kron(SparseBinMatrix.from_dense(a), SparseBinMatrix.from_dense(b)),
+                       np.kron(a, b))
 
 
 class TestVecKron:
@@ -228,16 +244,35 @@ class TestVecKron:
     @PROPERTY
     @given(data=st.data())
     def test_random_against_dense_expansion(self, w, data):
+        # Rows of a with several entries, and bbar rows with none, one or
+        # several entries in a block, in equal and unequal rows.
         a = SparseBinMatrix.from_dense(data.draw(_dense()))
         bbar = SparseBinMatrix.from_dense(data.draw(_dense(cols=w * a.cols)))
-        out = vec_kron(a, bbar, w)
-        assert np.array_equal(out.to_dense(), self.dense_vec_kron(a, bbar, w))
+        _assert_csr_of(vec_kron(a, bbar, w), self.dense_vec_kron(a, bbar, w))
+
+    def test_blocks_of_several_entries_and_empty_blocks(self):
+        a = SparseBinMatrix.from_dense([[1, 0, 1], [0, 0, 0], [1, 1, 1]])
+        # Rows 0 and 2 hold 2, 0 and 1 entries in the three blocks, row 1
+        # holds 0, 2 and 2, row 3 none.
+        bbar = SparseBinMatrix.from_dense([
+            [1, 1, 0, 0, 1, 0],
+            [0, 0, 1, 1, 1, 1],
+            [1, 1, 0, 0, 0, 1],
+            [0, 0, 0, 0, 0, 0],
+        ])
+        _assert_csr_of(vec_kron(a, bbar, 2), self.dense_vec_kron(a, bbar, 2))
 
     @pytest.mark.parametrize("w", [2, 3, 4])
     def test_random_matrix_with_identity_row(self, rng, w):
         a = random_sparse(rng, 4, 6)
         row_of_ids = PermutationArray.identity(w, 6).to_matrix()
         assert vec_kron(a, row_of_ids, w) == kron(a, SparseBinMatrix.identity(w))
+
+    @pytest.mark.parametrize("w", [2.0, True])
+    def test_rejects_non_integer_block_width(self, w):
+        a = SparseBinMatrix.identity(2)
+        with pytest.raises(ValueError, match=f"^block width must be an integer, got {w}$"):
+            vec_kron(a, PermutationArray.identity(2, 2).to_matrix(), w)
 
     def test_dimension_mismatch_reports_sizes(self, comp5):
         bad = SparseBinMatrix.identity(5)
@@ -328,6 +363,15 @@ class TestPermutationArray:
         with pytest.raises(ValueError, match="^block size must be at least 1$"):
             PermutationArray(0, [])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PermutationArray(2.5, [[0, 1]]), "block size must be an integer, got 2.5"),
+        (lambda: PermutationArray.identity(True, 2), "block size must be an integer, got True"),
+        (lambda: PermutationArray.identity(2, 2.0), "block count must be an integer, got 2.0"),
+    ], ids=["size", "identity-size", "identity-count"])
+    def test_rejects_non_integer_sizes(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     @pytest.mark.parametrize("perm", [[0.5, 1, 2], [0.0, 1.0, 2.0], ["0", "1", "2"]])
     def test_rejects_non_integer_entries(self, perm):
         with pytest.raises(ValueError, match="integers"):
@@ -343,6 +387,24 @@ class TestPermutationArray:
     def test_names_the_first_bad_block(self, perms, message):
         with pytest.raises(ValueError, match=message):
             PermutationArray(3, perms)
+
+    @PROPERTY
+    @given(st.data())
+    def test_names_the_first_block_that_is_not_a_permutation(self, data):
+        # Entries from -1 to n_a, so out-of-range, repeated and missing
+        # values all come up; the sorted block is the oracle.
+        n_a = data.draw(st.integers(1, 4))
+        blocks = data.draw(st.lists(st.one_of(st.permutations(range(n_a)),
+                                              st.lists(st.integers(-1, n_a), min_size=n_a,
+                                                       max_size=n_a)), max_size=4))
+        bad = [j for j, b in enumerate(blocks) if sorted(b) != list(range(n_a))]
+        # As lists, block by block, and as one integer table, taken whole.
+        for perms in (blocks, np.array(blocks, dtype=np.int64).reshape(len(blocks), n_a)):
+            if bad:
+                with pytest.raises(ValueError, match=f"^block {bad[0]} is not a permutation of "):
+                    PermutationArray(n_a, perms)
+            else:
+                assert PermutationArray(n_a, perms).perms.tolist() == [list(b) for b in blocks]
 
     def test_perms_is_one_read_only_table(self):
         pa = PermutationArray(3, [[1, 2, 0], [0, 1, 2]])

@@ -256,6 +256,19 @@ def test_encode_maps_the_last_axis_like_one_word_at_a_time(case):
         assert np.array_equal(got[index][pc.info_positions()], info[index])
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PROPERTY_COMPONENTS), st.sampled_from(PROPERTY_COMPONENTS),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_track_maps_match_the_argsort_reference(a, b, seed, interleaved):
+    table = PermutationArray.random(a.n, b.n, np.random.default_rng(seed)) if interleaved else None
+    pc = ProductCode(a, b, table)
+    perms = (PermutationArray.identity(a.n, b.n) if table is None else table).perms
+    tracks = (np.arange(0, pc.n, a.n)[:, None] + perms).T
+    assert np.array_equal(pc._info_tracks, tracks[:, : b.k])
+    order = np.argsort(tracks[:, b.k :], axis=None)
+    assert pc._parity_order.dtype == order.dtype and np.array_equal(pc._parity_order, order)
+
+
 class TestPermutationJson:
     def test_round_trip(self, tmp_path, rng):
         pa = PermutationArray.random(7, 5, rng)
