@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import SparseBinMatrix, _bounds
+from .gf2 import SparseBinMatrix, _bounds, check_int
 
 
 class ComponentCode:
@@ -71,6 +71,7 @@ def build_spc(k: int) -> ComponentCode:
     """Single parity-check code (k+1, k): H is one all-ones row."""
     if k < 1:
         raise ValueError("SPC needs k >= 1")
+    check_int("k", k, 1)
     H = SparseBinMatrix(1, k + 1, [np.arange(k + 1)])
     return ComponentCode(k + 1, k, H, f"spc:{k}")
 
@@ -96,13 +97,17 @@ def build_mscmpc(k: int, r_list) -> ComponentCode:
     length can still align two rows on two columns, which would drop
     the girth to 4, so such parameter sets are rejected.
     """
-    r_list = [int(r) for r in r_list]
+    r_list = list(r_list)
     if k < 1:
         raise ValueError("need k >= 1")
+    check_int("k", k, 1)
     if not r_list:
         raise ValueError("need at least one parity stage")
     if any(r < 2 for r in r_list):
         raise ValueError("every stage redundancy must be >= 2")
+    for r in r_list:
+        check_int("stage redundancy", r, 2)
+    r_list = [int(r) for r in r_list]
     if len(set(r_list)) != len(r_list):
         raise ValueError("stage redundancies must be pairwise distinct")
     n = k + sum(r_list)

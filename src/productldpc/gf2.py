@@ -4,14 +4,14 @@ Parity-check matrices are stored in compressed sparse row (CSR) form:
 row i's nonzero columns are ``indices[indptr[i]:indptr[i + 1]]``, in
 strictly increasing order, and ``transpose()`` reads a matrix by
 columns.  A result whose rows come out sorted is written straight into
-CSR: ``vstack`` offsets and joins its operands' arrays, and
-``PermutationArray.to_matrix`` writes each row as it reads the table.
-``kron`` and ``vec_kron`` work out each entry's CSR slot from their
-operands' row pointers and write it with one scatter; only the transpose
-and ``from_dense``, which emit every row's columns in increasing order,
-place entries by one stable sort on the row.  Bit vectors cross the
-module boundary as 0/1 integer arrays; any packed representation (e.g.
-for rank elimination) stays internal.
+CSR: ``vstack`` offsets and joins its operands' arrays.  ``kron`` and
+``vec_kron``, whose second operand is a table of permutations, work out
+each entry's CSR slot by index arithmetic on row pointers and write it
+with one scatter; only the transpose and ``from_dense``, which emit
+every row's columns in increasing order, place entries by one stable
+sort on the row.  Bit vectors cross the module boundary as 0/1 integer
+arrays; any packed representation (e.g. for rank elimination) stays
+internal.
 
 The module imports nothing from the package, so it is also the home of
 what every layer shares: ``check_int``, the count check applied to
@@ -224,61 +224,30 @@ def kron(a: SparseBinMatrix, b: SparseBinMatrix) -> SparseBinMatrix:
     return SparseBinMatrix._from_csr(a.rows * b.rows, a.cols * b.cols, indptr, indices)
 
 
-def vec_kron(a: SparseBinMatrix, bbar: SparseBinMatrix, w: int) -> SparseBinMatrix:
-    """Column-blockwise Kronecker variant.
+def vec_kron(a: SparseBinMatrix, table: PermutationArray) -> SparseBinMatrix:
+    """a with entry (u, j) expanded to the permutation matrix of table block j.
 
-    `bbar` is read as `a.cols` adjacent blocks of `w` columns.  Block i of
-    the result is the plain Kronecker product of a's i-th column with
-    bbar's i-th block, so the output is (a.rows*bbar.rows) x bbar.cols.
-    Row (i, u) of the result is row u of bbar cut down to the blocks that
-    row i of a holds.
-
-    The work is one index grid per run of adjacent bbar rows that hold
-    equal counts in every block and per rank of an entry within its
-    block: a table of permutations, one entry per (row, block), is one
-    grid, while a bbar whose rows all differ takes one grid per row.
+    Block j is the n_a x n_a matrix P_j with a 1 at (i, perms[j][i]).  The
+    result is (a.rows*n_a) x (a.cols*n_a), and row (u, i) holds
+    j*n_a + perms[j][i] for each j in row u of a.
     """
-    if w <= 0:
-        raise ValueError("block width must be positive")
-    check_int("block width", w, 1)
-    if bbar.cols != w * a.cols:
+    n_a = table.n_a
+    if len(table) != a.cols:
         raise ValueError(
-            f"block operand has {bbar.cols} columns, expected "
-            f"{w} * {a.cols} = {w * a.cols}"
+            f"permutation table has {len(table)} blocks, expected one per column of a: {a.cols}"
         )
-    rows, aj, ra = bbar.rows, a.indices.astype(np.intp), _row_ids(a.indptr)
-    # size[u, j]: bbar's row-u entries in block j, consecutive in the row.
-    run = np.repeat(np.arange(rows) * a.cols, np.diff(bbar.indptr))
-    run += bbar.indices // w
-    size = np.bincount(run, minlength=rows * a.cols).reshape(rows, a.cols)
-    # Rows with equal counts are laid out alike: a group is a run of
-    # adjacent such rows, starting wherever a row differs from the last.
-    new = np.ones(rows, dtype=bool)
-    new[1:] = (size[1:] != size[:-1]).any(axis=1)
-    cut = np.flatnonzero(new)
-    counts = size[cut]  # one row of block counts per group
-    # For a's entry e = (i, j) and a row u of group g, output row (i, u)
-    # holds the n[g, e] entries of bbar's row u in block j from before[g, e]
-    # on, after those of a's earlier entries in row i.
-    n = counts[:, aj]
-    sums = np.zeros((len(cut), a.nnz + 1), dtype=np.int64)
-    np.cumsum(n, axis=1, out=sums[:, 1:])
-    before = sums[:, :-1] - sums[:, a.indptr[ra]]
-    widths = sums[:, a.indptr[1:]] - sums[:, a.indptr[:-1]]  # (groups, a.rows)
-    indptr = _bounds(widths[np.cumsum(new) - 1].T.ravel())  # rows (i, u) in order
-    row_start = indptr[:-1].reshape(a.rows, rows)
-    # Block j's entries start skip[g, j] entries into a row of group g.
-    skip = np.cumsum(counts, axis=1) - counts
-    indices = np.empty(indptr[-1], dtype=_IDX)
-    for g, (lo, hi) in enumerate(zip(cut, [*cut[1:], rows])):
-        # The group's rows are adjacent and equally long: one table of entries.
-        table = bbar.indices[bbar.indptr[lo] : bbar.indptr[hi]].reshape(hi - lo, counts[g].sum())
-        for t in range(n[g].max(initial=0)):  # the t-th entry of each run
-            es = np.flatnonzero(n[g] > t)
-            slot = np.take(row_start[:, lo:hi], ra[es], axis=0)
-            slot += (before[g, es] + t)[:, None]
-            indices[slot] = np.take(table.T, skip[g, aj[es]] + t, axis=0)
-    return SparseBinMatrix._from_csr(a.rows * rows, bbar.cols, indptr, indices)
+    wa = np.diff(a.indptr)
+    first = np.repeat(a.indptr[:-1], wa)  # where each entry's row of a starts
+    # Row (u, i) holds wa[u] entries from a.indptr[u] * n_a + i * wa[u] on,
+    # one per entry of a's row u and in its order, so ascending in j and
+    # sorted as written: a's entry e, t-th in its row, is the t-th.
+    slot = np.repeat(wa, wa)[:, None] * np.arange(n_a)
+    slot += (first * n_a + np.arange(a.nnz) - first)[:, None]
+    j = a.indices.astype(np.int64)
+    indices = np.empty(a.nnz * n_a, dtype=_IDX)
+    indices[slot] = table.perms[j] + (j * n_a)[:, None]
+    indptr = _bounds(np.repeat(wa, n_a))
+    return SparseBinMatrix._from_csr(a.rows * n_a, a.cols * n_a, indptr, indices)
 
 
 def density(m: SparseBinMatrix) -> float:
@@ -389,14 +358,3 @@ class PermutationArray:
         if not isinstance(other, PermutationArray):
             return NotImplemented
         return self.n_a == other.n_a and np.array_equal(self.perms, other.perms)
-
-    def to_matrix(self) -> SparseBinMatrix:
-        """Concatenation [P_1 | P_2 | ... ]: n_a rows, n_a*len(self) columns.
-
-        Block j has a 1 at (i, perms[j][i]).
-        """
-        n_a, n_b = self.n_a, len(self.perms)
-        # Row i holds j*n_a + perms[j][i] for j = 0, 1, ...: one column per
-        # block, so the row is sorted as written.
-        cols = self.perms.T + np.arange(0, n_a * n_b, n_a)
-        return SparseBinMatrix._from_csr(n_a, n_a * n_b, np.arange(n_a + 1) * n_b, cols.ravel())

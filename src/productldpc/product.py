@@ -5,8 +5,9 @@ per encoding-matrix row; the direct code is the one whose every P_j is
 the identity.  The parity-check matrix stacks a block-diagonal
 replication of the row code's H (one block per information row of the
 encoding matrix, which already yields full rank) on top of the column
-code's H expanded so that its q-th copy touches, in encoding-matrix row
-m, the bit selected by P_m at index q.
+code's H with entry (i, m) expanded to P_m, straight from the table: its
+q-th copy touches, in encoding-matrix row m, the bit selected by P_m at
+index q.
 
 The same table gives the layout, a track map of n_a column words: bit
 j of column-code word q is codeword bit j*n_a + P_j[q].  The encoder
@@ -55,7 +56,7 @@ class ProductCode:
         # parity row's copy is redundant in the direct code and false in others.
         info_rows = SparseBinMatrix._from_csr(b.k, b.n, np.arange(b.k + 1), np.arange(b.k))
         hp1 = kron(info_rows, a.H)
-        hp2 = vec_kron(b.H, table.to_matrix(), a.n)
+        hp2 = vec_kron(b.H, table)
         self.H = vstack([hp1, hp2])
         # Row q of the track map: the codeword indices of column-code word q.
         # Its first k_b columns are gathered as they stand.  The parity bits
@@ -123,11 +124,16 @@ def save_permutation_array(perms: PermutationArray, path, meta: dict | None = No
 def load_permutation_array(path) -> PermutationArray:
     """Read a file written by save_permutation_array; reject any other shape."""
     with open(path) as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("perms"), list):
         raise ValueError(f"{path}: expected a JSON object with a perms list")
     n_a = doc.get("n_a")
     check_int("n_a", n_a, 1)
+    # Refused before anything n_a long is allocated: a block of n_a entries
+    # takes more characters than n_a.
+    if n_a > len(text):
+        raise ValueError(f"{path}: n_a = {n_a} does not fit in a file of {len(text)} characters")
     blocks = doc["perms"]
     # Checked in bulk: array.fromlist takes lists of ints only and reads a
     # bool as 0 or 1, so a True can hide only among the 1s.  A file that

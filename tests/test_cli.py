@@ -396,9 +396,15 @@ def test_encode_accepts_only_binary_bits(runner, tmp_path, token):
     ({"n_a": 3, "perms": [[1, 2, 3], {"1": 2}, [1, 2, 3]]},
      "{path}: block 1 must be a list of integers in 1..3"),
     ({"n_a": 3, "perms": [[1, 2, 3], [1, 2, 3], [1, 2]]}, "block 2 is not a permutation of 0..2"),
+    # Refused before numpy allocates anything n_a long, which would fail
+    # naming neither the file nor n_a.
+    ({"n_a": 10**30, "perms": []},
+     "{path}: n_a = 1000000000000000000000000000000 does not fit in a file of 53 characters"),
+    ({"n_a": 2**62, "perms": [[1]]},
+     "{path}: n_a = 4611686018427387904 does not fit in a file of 44 characters"),
 ], ids=["top-level-array", "scalar-perms", "float-entry", "bool-entry", "float-n_a",
         "zero-entry", "entry-past-n_a", "entry-past-int64", "string-entry", "non-list-block",
-        "short-block"])
+        "short-block", "n_a-past-intp", "n_a-past-memory"])
 def test_construct_rejects_malformed_permutation_file(runner, tmp_path, doc, message):
     perms = tmp_path / "perms.json"
     perms.write_text(json.dumps(doc))

@@ -50,6 +50,15 @@ class TestSpc:
         with pytest.raises(ValueError):
             build_spc(0)
 
+    @pytest.mark.parametrize("k, message", [
+        (True, "k must be an integer, got True"),
+        (3.0, "k must be an integer, got 3.0"),
+        (0, "SPC needs k >= 1"),  # too small: the message it had
+    ], ids=["bool", "float", "zero"])
+    def test_rejects_k_that_is_not_a_count(self, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_spc(k)
+
 
 class TestMscmpc:
     @pytest.mark.parametrize(
@@ -73,6 +82,18 @@ class TestMscmpc:
     def test_rejects_bad_stage_lists(self, r_list):
         with pytest.raises(ValueError):
             build_mscmpc(5, r_list)
+
+    @pytest.mark.parametrize("k, r_list, message", [
+        (5, [3.7, 4], "stage redundancy must be an integer, got 3.7"),
+        (True, [3, 4], "k must be an integer, got True"),
+        (5.0, [3, 4], "k must be an integer, got 5.0"),
+        # Too small: the messages they had.
+        (0, [3, 4], "need k >= 1"),
+        (5, [3, 1.5], "every stage redundancy must be >= 2"),
+    ], ids=["float-stage", "bool-k", "float-k", "zero-k", "small-stage"])
+    def test_rejects_parameters_that_are_not_counts(self, k, r_list, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_mscmpc(k, r_list)
 
     def test_girth_at_least_six(self):
         for code in (

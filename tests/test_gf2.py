@@ -207,77 +207,64 @@ class TestKron:
 
 
 class TestVecKron:
-    def dense_vec_kron(self, a, bbar, w):
-        """Brute-force expansion of the column-blockwise definition."""
-        ad, bd = a.to_dense(), bbar.to_dense()
-        x, y = ad.shape
-        v = bd.shape[0]
-        out = np.zeros((x * v, w * y), dtype=np.uint8)
-        for i in range(y):
-            block = bd[:, i * w : (i + 1) * w]
-            for r in range(x):
-                out[r * v : (r + 1) * v, i * w : (i + 1) * w] = ad[r, i] * block
+    def dense_vec_kron(self, a, table):
+        """Brute-force expansion: block j is np.kron of a's column j with P_j."""
+        n_a, ad = table.n_a, a.to_dense()
+        out = np.zeros((a.rows * n_a, a.cols * n_a), dtype=np.uint8)
+        for j, p in enumerate(table.perms):
+            block = np.zeros((n_a, n_a), dtype=np.uint8)
+            block[np.arange(n_a), p] = 1
+            out[:, j * n_a : (j + 1) * n_a] = np.kron(ad[:, j : j + 1], block)
         return out
 
     def test_row_of_identities_equals_kron_with_identity(self, comp5):
         n = 7
-        row_of_ids = PermutationArray.identity(n, comp5.H.cols).to_matrix()
-        assert vec_kron(comp5.H, row_of_ids, n) == kron(
-            comp5.H, SparseBinMatrix.identity(n)
-        )
+        row_of_ids = PermutationArray.identity(n, comp5.H.cols)
+        assert vec_kron(comp5.H, row_of_ids) == kron(comp5.H, SparseBinMatrix.identity(n))
 
     def test_identity_permutations_equal_plain_kron(self, comp5):
         pa = PermutationArray.identity(12, 12)
-        assert vec_kron(comp5.H, pa.to_matrix(), 12) == kron(
-            comp5.H, SparseBinMatrix.identity(12)
-        )
+        assert vec_kron(comp5.H, pa) == kron(comp5.H, SparseBinMatrix.identity(12))
 
     def test_hand_built_blocks_against_dense_expansion(self):
         a = SparseBinMatrix.from_dense([[1, 0], [1, 1]])
         p1 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         p2 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-        bbar = SparseBinMatrix.from_dense(np.hstack([p1, p2]))
-        out = vec_kron(a, bbar, 3)
-        assert np.array_equal(out.to_dense(), self.dense_vec_kron(a, bbar, 3))
+        table = PermutationArray(3, [[1, 2, 0], [2, 0, 1]])
+        _assert_csr_of(vec_kron(a, table), np.block([[p1, np.zeros_like(p2)], [p1, p2]]))
 
-    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_one_row_of_ones_lays_the_table_side_by_side(self):
+        table = PermutationArray(3, [[1, 2, 0], [0, 1, 2]])
+        dense = vec_kron(SparseBinMatrix(1, 2, [[0, 1]]), table).to_dense()
+        p1 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert np.array_equal(dense[:, :3], p1)
+        assert np.array_equal(dense[:, 3:], np.eye(3, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n_a", [1, 2, 3, 4, 5])
     @PROPERTY
     @given(data=st.data())
-    def test_random_against_dense_expansion(self, w, data):
-        # Rows of a with several entries, and bbar rows with none, one or
-        # several entries in a block, in equal and unequal rows.
+    def test_random_against_dense_expansion(self, n_a, data):
+        # Empty rows and columns of a and rows of several entries, against
+        # drawn tables of block size n_a.
         a = SparseBinMatrix.from_dense(data.draw(_dense()))
-        bbar = SparseBinMatrix.from_dense(data.draw(_dense(cols=w * a.cols)))
-        _assert_csr_of(vec_kron(a, bbar, w), self.dense_vec_kron(a, bbar, w))
-
-    def test_blocks_of_several_entries_and_empty_blocks(self):
-        a = SparseBinMatrix.from_dense([[1, 0, 1], [0, 0, 0], [1, 1, 1]])
-        # Rows 0 and 2 hold 2, 0 and 1 entries in the three blocks, row 1
-        # holds 0, 2 and 2, row 3 none.
-        bbar = SparseBinMatrix.from_dense([
-            [1, 1, 0, 0, 1, 0],
-            [0, 0, 1, 1, 1, 1],
-            [1, 1, 0, 0, 0, 1],
-            [0, 0, 0, 0, 0, 0],
-        ])
-        _assert_csr_of(vec_kron(a, bbar, 2), self.dense_vec_kron(a, bbar, 2))
+        perms = data.draw(st.lists(st.permutations(range(n_a)), min_size=a.cols,
+                                   max_size=a.cols))
+        table = PermutationArray(n_a, perms)
+        _assert_csr_of(vec_kron(a, table), self.dense_vec_kron(a, table))
 
     @pytest.mark.parametrize("w", [2, 3, 4])
     def test_random_matrix_with_identity_row(self, rng, w):
         a = random_sparse(rng, 4, 6)
-        row_of_ids = PermutationArray.identity(w, 6).to_matrix()
-        assert vec_kron(a, row_of_ids, w) == kron(a, SparseBinMatrix.identity(w))
-
-    @pytest.mark.parametrize("w", [2.0, True])
-    def test_rejects_non_integer_block_width(self, w):
-        a = SparseBinMatrix.identity(2)
-        with pytest.raises(ValueError, match=f"^block width must be an integer, got {w}$"):
-            vec_kron(a, PermutationArray.identity(2, 2).to_matrix(), w)
+        row_of_ids = PermutationArray.identity(w, 6)
+        assert vec_kron(a, row_of_ids) == kron(a, SparseBinMatrix.identity(w))
 
     def test_dimension_mismatch_reports_sizes(self, comp5):
-        bad = SparseBinMatrix.identity(5)
-        with pytest.raises(ValueError, match="5"):
-            vec_kron(comp5.H, bad, 3)
+        # Too few blocks and too many.
+        for blocks in (5, 13):
+            bad = PermutationArray.identity(3, blocks)
+            with pytest.raises(ValueError, match=f"^permutation table has {blocks} blocks, "
+                                                 "expected one per column of a: 12$"):
+                vec_kron(comp5.H, bad)
 
 
 class TestDensity:
@@ -293,7 +280,7 @@ class TestDensity:
 
     def test_interleaved_expansion_density_exact(self, comp5, rng):
         pa = PermutationArray.random(12, 12, rng)
-        expanded = vec_kron(comp5.H, pa.to_matrix(), 12)
+        expanded = vec_kron(comp5.H, pa)
         # exact count identity, not a float comparison
         assert expanded.nnz == comp5.H.nnz * 12
         assert expanded.rows * expanded.cols == comp5.H.rows * comp5.H.cols * 144
@@ -415,27 +402,14 @@ class TestPermutationArray:
             pa.perms[0, 0] = 2
         assert PermutationArray(4, []).perms.shape == (0, 4)
 
-    def test_to_matrix_places_ones_by_row(self):
-        pa = PermutationArray(3, [[1, 2, 0], [0, 1, 2]])
-        dense = pa.to_matrix().to_dense()
-        p1 = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        assert np.array_equal(dense[:, :3], p1)
-        assert np.array_equal(dense[:, 3:], np.eye(3, dtype=np.uint8))
-
     @PROPERTY
-    @given(st.data())
-    def test_to_matrix_against_dense(self, data):
-        n_a = data.draw(st.integers(1, 5))
-        perms = data.draw(st.lists(st.permutations(range(n_a)), max_size=4))
-        expected = np.zeros((n_a, n_a * len(perms)), dtype=np.uint8)
-        for j, p in enumerate(perms):
-            expected[np.arange(n_a), j * n_a + np.array(p)] = 1
-        _assert_csr_of(PermutationArray(n_a, perms).to_matrix(), expected)
-        # n_b = 0 comes up too: an n_a x 0 matrix.
-        identity = PermutationArray.identity(n_a, len(perms))
-        assert identity == PermutationArray(n_a, [range(n_a)] * len(perms))
+    @given(st.integers(1, 5), st.integers(0, 4))
+    def test_identity_is_a_read_only_identity_table(self, n_a, n_b):
+        # n_b = 0 comes up too: a (0, n_a) table.
+        identity = PermutationArray.identity(n_a, n_b)
+        assert identity == PermutationArray(n_a, [range(n_a)] * n_b)
+        assert identity.perms.shape == (n_b, n_a)
         assert identity.perms.dtype == np.int64 and not identity.perms.flags.writeable
-        _assert_csr_of(identity.to_matrix(), np.tile(np.eye(n_a, dtype=np.uint8), len(perms)))
 
     def test_random_is_valid(self, rng):
         pa = PermutationArray.random(9, 4, rng)

@@ -285,3 +285,12 @@ class TestPermutationJson:
         doc = json.loads(path.read_text())
         assert doc["n_a"] == 4
         assert doc["perms"] == WORKED_PERMS
+
+    def test_n_a_may_be_as_large_as_the_file_and_no_larger(self, tmp_path):
+        # {"n_a": 24, "perms": []} is 24 characters long.
+        path = tmp_path / "perms.json"
+        path.write_text('{"n_a": 24, "perms": []}')
+        assert load_permutation_array(path) == PermutationArray(24, [])
+        path.write_text('{"n_a": 25, "perms": []}')
+        with pytest.raises(ValueError, match=" n_a = 25 does not fit in a file of 24 characters$"):
+            load_permutation_array(path)
