@@ -192,8 +192,10 @@ def low_weight_search(code, w_max: int) -> WeightSpectrum:
     walks the column pairs once and keeps the pair table, so 3 costs
     what 4 does (about 21 MB for mscmpc:961:31,32).
     """
-    if not 1 <= w_max <= LOW_WEIGHT_MAX:
-        raise ValueError(f"w_max must be in [1, {LOW_WEIGHT_MAX}], got {w_max}")
+    in_range = f"w_max must be in [1, {LOW_WEIGHT_MAX}], got {w_max}"
+    check_int("w_max", w_max, 1, small=in_range)
+    if w_max > LOW_WEIGHT_MAX:
+        raise ValueError(in_range)
     n = code.H.cols
     col_words = [sum(1 << r for r in sup.tolist()) for sup in code.H.col_support()]
     single = Counter(col_words)

@@ -22,9 +22,10 @@ class ComponentCode:
     __slots__ = ("n", "k", "r", "H", "label", "_parity_gen")
 
     def __init__(self, n: int, k: int, H: SparseBinMatrix, label: str) -> None:
+        small = f"need k >= 1 and n >= k, got n={n}, k={k}"
+        check_int("k", k, 1, small=small)
+        check_int("n", n, k, small=small)
         r = n - k
-        if k < 1 or r < 0:
-            raise ValueError(f"need k >= 1 and n >= k, got n={n}, k={k}")
         if H.rows != r or H.cols != n:
             raise ValueError(f"H must be {r}x{n}, got {H.rows}x{H.cols}")
         for i, sup in enumerate(H.row_support):
@@ -64,14 +65,13 @@ class ComponentCode:
 
 def build_uncoded(n: int) -> ComponentCode:
     """The (n, n) word space: no parity bits, and encode is the identity."""
+    check_int("n", n, 1)
     return ComponentCode(n, n, SparseBinMatrix(0, n, []), f"uncoded:{n}")
 
 
 def build_spc(k: int) -> ComponentCode:
     """Single parity-check code (k+1, k): H is one all-ones row."""
-    if k < 1:
-        raise ValueError("SPC needs k >= 1")
-    check_int("k", k, 1)
+    check_int("k", k, 1, small="SPC needs k >= 1")
     H = SparseBinMatrix(1, k + 1, [np.arange(k + 1)])
     return ComponentCode(k + 1, k, H, f"spc:{k}")
 
@@ -98,15 +98,11 @@ def build_mscmpc(k: int, r_list) -> ComponentCode:
     the girth to 4, so such parameter sets are rejected.
     """
     r_list = list(r_list)
-    if k < 1:
-        raise ValueError("need k >= 1")
-    check_int("k", k, 1)
+    check_int("k", k, 1, small="need k >= 1")
     if not r_list:
         raise ValueError("need at least one parity stage")
-    if any(r < 2 for r in r_list):
-        raise ValueError("every stage redundancy must be >= 2")
     for r in r_list:
-        check_int("stage redundancy", r, 2)
+        check_int("stage redundancy", r, 2, small="every stage redundancy must be >= 2")
     r_list = [int(r) for r in r_list]
     if len(set(r_list)) != len(r_list):
         raise ValueError("stage redundancies must be pairwise distinct")

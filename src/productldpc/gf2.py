@@ -4,14 +4,13 @@ Parity-check matrices are stored in compressed sparse row (CSR) form:
 row i's nonzero columns are ``indices[indptr[i]:indptr[i + 1]]``, in
 strictly increasing order, and ``transpose()`` reads a matrix by
 columns.  A result whose rows come out sorted is written straight into
-CSR: ``vstack`` offsets and joins its operands' arrays.  ``kron`` and
+CSR: ``vstack`` offsets and joins its operands' arrays, ``from_dense``
+takes ``np.nonzero``'s row-major order as it comes, and ``kron`` and
 ``vec_kron``, whose second operand is a table of permutations, work out
 each entry's CSR slot by index arithmetic on row pointers and write it
-with one scatter; only the transpose and ``from_dense``, which emit
-every row's columns in increasing order, place entries by one stable
-sort on the row.  Bit vectors cross the module boundary as 0/1 integer
-arrays; any packed representation (e.g. for rank elimination) stays
-internal.
+with one scatter.  Only ``transpose`` sorts: one stable sort on the
+column.  Bit vectors cross the module boundary as 0/1 integer arrays;
+any packed representation (e.g. for rank elimination) stays internal.
 
 The module imports nothing from the package, so it is also the home of
 what every layer shares: ``check_int``, the count check applied to
@@ -30,12 +29,19 @@ import numpy as np
 _IDX = np.int32
 
 
-def check_int(name: str, value, minimum: int) -> None:
-    """Reject a count that is a bool, not an integer, or below `minimum`."""
+def check_int(name: str, value, minimum: int, small: str | None = None) -> None:
+    """Reject a count that is below `minimum`, a bool, or not an integer.
+
+    Only a real number, bools aside, is compared, so a number below
+    `minimum` is too small even when it is not whole, and anything else
+    is refused by type, never by a raw TypeError.  A too-small count is
+    reported as `small` when the caller gives its own message.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and value < minimum:
+        raise ValueError(small or f"{name} must be at least {minimum}, got {value}")
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 def _cpus() -> int:
@@ -88,10 +94,8 @@ class SparseBinMatrix:
     __slots__ = ("rows", "cols", "indptr", "indices")
 
     def __init__(self, rows: int, cols: int, row_support) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        check_int("rows", rows, 0)
-        check_int("cols", cols, 0)
+        check_int("rows", rows, 0, small="matrix dimensions must be nonnegative")
+        check_int("cols", cols, 0, small="matrix dimensions must be nonnegative")
         if len(row_support) != rows:
             raise ValueError(f"expected {rows} support lists, got {len(row_support)}")
         supports = [np.asarray(r) for r in row_support]
@@ -127,27 +131,20 @@ class SparseBinMatrix:
         return m
 
     @classmethod
-    def _from_coords(cls, rows: int, cols: int, r, c) -> "SparseBinMatrix":
-        """Matrix with a 1 at each (r[t], c[t]): distinct, and each row's
-        columns in increasing order of t, as transpose and from_dense emit
-        them."""
-        r = np.asarray(r, dtype=np.int64)
-        # Stable keeps each row's columns in order; it is linear on sorted runs.
-        order = np.argsort(r, kind="stable")
-        return cls._from_csr(rows, cols, _bounds(np.bincount(r, minlength=rows)), np.asarray(c)[order])
-
-    @classmethod
     def identity(cls, n: int) -> "SparseBinMatrix":
         return cls._from_csr(n, n, np.arange(n + 1), np.arange(n))
 
     @classmethod
     def from_dense(cls, a) -> "SparseBinMatrix":
+        """The matrix of a's odd entries, written into CSR without a sort:
+        np.nonzero yields them row by row, each row's columns ascending."""
         a = np.asarray(a)
         if a.ndim != 2:
             raise ValueError("dense input must be two-dimensional")
         if a.dtype.kind not in "biu":
             raise ValueError(f"dense input must be bool or integer, got {a.dtype}")
-        return cls._from_coords(a.shape[0], a.shape[1], *np.nonzero(a % 2))
+        odd = a % 2
+        return cls._from_csr(*a.shape, _bounds(np.count_nonzero(odd, axis=1)), np.nonzero(odd)[1])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.uint8)
@@ -168,8 +165,15 @@ class SparseBinMatrix:
         return np.diff(self.indptr)
 
     def transpose(self) -> "SparseBinMatrix":
-        """The matrix by columns: row j of the result is column j."""
-        return self._from_coords(self.cols, self.rows, self.indices, _row_ids(self.indptr))
+        """The matrix by columns: row j of the result is column j.
+
+        The module's one placement sort: a stable sort of the entries on
+        their column keeps each column's rows in increasing order.
+        """
+        # Stable sorting is linear on sorted runs, which CSR order is full of.
+        order = np.argsort(self.indices, kind="stable")
+        indptr = _bounds(np.bincount(self.indices, minlength=self.cols))
+        return self._from_csr(self.cols, self.rows, indptr, _row_ids(self.indptr)[order])
 
     def col_support(self) -> list[np.ndarray]:
         """Per-column sorted row indices: the row supports of the transpose."""
@@ -333,9 +337,7 @@ class PermutationArray:
 
     @staticmethod
     def _block_size(n_a) -> int:
-        if n_a < 1:
-            raise ValueError("block size must be at least 1")
-        check_int("block size", n_a, 1)
+        check_int("block size", n_a, 1, small="block size must be at least 1")
         return int(n_a)
 
     @classmethod

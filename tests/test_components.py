@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, permutations
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from productldpc import components
 from productldpc import (
     ComponentCode,
+    PermutationArray,
     SparseBinMatrix,
     build_mscmpc,
     build_spc,
@@ -276,6 +278,37 @@ def test_mscmpc_acceptance_matches_pair_walk(monkeypatch):
             except ValueError:
                 accepted = False
             assert accepted != pair_walk_violates(checked[-1]), (k, stages)
+
+
+_H12 = build_mscmpc(5, [3, 4]).H
+
+# Every public count, as (name in its message, call with the count set to
+# v, a string for it).  The strings for rows, block size and stage
+# redundancy raised a raw TypeError while the range came before the type.
+_COUNTS = [
+    ("rows", lambda v: SparseBinMatrix(v, 2, [[], []]), "2"),
+    ("cols", lambda v: SparseBinMatrix(2, v, [[], []]), "2"),
+    ("block size", lambda v: PermutationArray(v, []), "3"),
+    ("block count", lambda v: PermutationArray.identity(2, v), "3"),
+    ("k", build_spc, "3"),
+    ("k", lambda v: build_mscmpc(v, [3, 4]), "5"),
+    ("stage redundancy", lambda v: build_mscmpc(5, [v, 4]), "3"),
+    ("n", build_uncoded, "3"),
+    ("n", lambda v: ComponentCode(v, 5, _H12, "x"), "12"),
+    ("k", lambda v: ComponentCode(12, v, _H12, "x"), "5"),
+    ("w_max", lambda v: low_weight_search(build_spc(3), v), "2"),
+]
+
+
+@pytest.mark.parametrize("name, make, text", _COUNTS, ids=[
+    "rows", "cols", "block-size", "block-count", "spc-k", "mscmpc-k", "stage",
+    "uncoded-n", "component-n", "component-k", "w_max"])
+@pytest.mark.parametrize("kind", ["str", "float", "bool"])
+def test_every_count_refuses_what_is_not_an_integer_by_name(name, make, text, kind):
+    # 12.5 is above every minimum, so only its type can be at fault.
+    value = {"str": text, "float": 12.5, "bool": True}[kind]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+        make(value)
 
 
 class TestParse:
