@@ -19,14 +19,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .gf2 import _in_lanes, check_int
+from .gf2 import _in_lanes, check_int, parse_numbers
 
 EXHAUSTIVE_K_LIMIT = 28
 # (high, low) pairs weighed per block: fixes the block buffers at a few MB.
@@ -87,10 +86,8 @@ class WeightSpectrum:
             raise ValueError(f"spectrum complete must be true or false, got {doc['complete']!r}")
         counts = {}
         for w, c in doc["counts"].items():
-            # int() alone would also take " 16", "1_6" and "+16".
-            if not re.fullmatch(r"-?[0-9]+", w):
-                raise ValueError(f"spectrum weight {w!r} is not an integer")
-            counts[int(w)] = integer(f"A_{w}", c)
+            (weight,) = parse_numbers([w], int, "spectrum weight {!r} is not an integer")
+            counts[weight] = integer(f"A_{w}", c)
         return cls(n=integer("n", doc["n"]), k=integer("k", doc["k"]), counts=counts,
                    complete=doc["complete"])
 

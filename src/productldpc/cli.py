@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .components import build_uncoded, parse_component_spec
 from .decoder import spa_decode
-from .gf2 import check_int
+from .gf2 import check_int, parse_numbers
 from .peg import design_circulant, design_generic, local_girth
 from .product import ProductCode, load_permutation_array, save_permutation_array
 from .simulate import SimConfig, run_sweep, write_sim_csv
@@ -42,11 +42,8 @@ MAX_EBN0_POINTS = 100_000
 
 
 def _floats(tokens, what: str) -> list:
-    """float() of each token, refusing the "_" digit separators it would read."""
-    for tok in tokens:
-        if "_" in tok:
-            raise ValueError(f"{what} {tok!r} is not a number")
-    return [float(tok) for tok in tokens]
+    """The reals in `tokens`, under gf2.parse_numbers' rule."""
+    return parse_numbers(tokens, float, what + " {!r} is not a number")
 
 
 def _parse_ebn0(text: str) -> list:
@@ -273,7 +270,8 @@ def encode(comp_a, comp_b, perms, info_path, out):
 @main.command()
 @click.option("--in", "alist_path", required=True, type=click.Path(exists=True))
 @click.option("--llr", "llr_path", required=True, type=click.Path(exists=True),
-              help="whitespace-separated channel LLRs, positive favors bit 0")
+              help="whitespace-separated channel LLRs, positive favors bit 0, each an "
+                   "ASCII number as float() reads it, with no '_'")
 @click.option("--max-iter", type=int, default=100, show_default=True)
 @click.option("--out", required=True, type=_OutputPath())
 def decode(alist_path, llr_path, max_iter, out):

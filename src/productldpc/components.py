@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import SparseBinMatrix, _bounds, check_int
+from .gf2 import SparseBinMatrix, _bounds, check_int, parse_numbers
 
 
 class ComponentCode:
@@ -131,11 +131,8 @@ def build_mscmpc(k: int, r_list) -> ComponentCode:
 
 
 def _count(token: str) -> int:
-    """A count in ASCII digits: int() would also read '3_0', '+3', ' 3' or
-    full-width digits."""
-    if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"{token!r} is not a count")
-    return int(token)
+    """A count read under gf2.parse_numbers' rule for integers."""
+    return parse_numbers([token], int, "{!r} is not a count")[0]
 
 
 def parse_component_spec(text: str) -> ComponentCode:

@@ -14,7 +14,8 @@ any packed representation (e.g. for rank elimination) stays internal.
 
 The module imports nothing from the package, so it is also the home of
 what every layer shares: ``check_int``, the count check applied to
-inputs, ``_cpus``, the usable CPU count, and ``_in_lanes``, which splits
+inputs, ``parse_numbers``, the one rule for numbers read from text,
+``_cpus``, the usable CPU count, and ``_in_lanes``, which splits
 independent work over the CPUs.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import numbers
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,6 +44,32 @@ def check_int(name: str, value, minimum: int, small: str | None = None) -> None:
         raise ValueError(small or f"{name} must be at least {minimum}, got {value}")
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def parse_numbers(tokens: list[str], kind: type, message: str) -> list:
+    """[kind(t) for t in tokens], kind being int or float, under one rule.
+
+    An integer read from text is ASCII ``-?[0-9]+``.  A real is whatever
+    float() reads from an ASCII token with no "_", so "inf", "nan",
+    "1e-3" and "+1.5" parse and finiteness stays the caller's check, and
+    a word float() cannot read keeps float()'s own error.  int() and
+    float() alone would also read "1_0" and other scripts' digits, such
+    as "１" or "١", and int() would read "+1" and " 1".  The first token
+    outside the rule raises ValueError(message.format(token)).
+
+    One quick test covers the whole list at less than the cost of its
+    int() calls: it passes ASCII digits alone, and every list of reals
+    that fits, since a real's test is one of characters.  A list it
+    does not pass, such as one holding a negative integer, is tested
+    token by token.
+    """
+    text = "".join(tokens)
+    quick = all(map(str.isdigit, tokens)) if kind is int else "_" not in text
+    if not (text.isascii() and quick):
+        for t in tokens:
+            if not (re.fullmatch(r"-?[0-9]+", t) if kind is int else t.isascii() and "_" not in t):
+                raise ValueError(message.format(t))
+    return list(map(kind, tokens))
 
 
 def _cpus() -> int:

@@ -1,8 +1,11 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from productldpc import SparseBinMatrix, build_hp, build_hp_interleaved, build_mscmpc
 from productldpc.alist import read_alist, write_alist
@@ -70,6 +73,67 @@ def test_negative_header_sizes_rejected(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError, match="cols rows max_col max_row must be nonnegative"):
         read_alist(path)
+
+
+# One row over eleven columns: "11" is the column count (token 0), the
+# row's degree (token 15) and the row's last index (the last token).
+ELEVEN = SparseBinMatrix(1, 11, [list(range(11))])
+
+
+@pytest.mark.parametrize("at", ["header", "degree", "index"])
+@pytest.mark.parametrize("token", ["1_1", "+11", "\uff11\uff11", "\u0661\u0661"],
+                         ids=["separator", "plus", "full-width", "arabic-indic"])
+def test_integers_other_than_ascii_digits_rejected(tmp_path, token, at):
+    # int() reads each of these tokens as 11, which would give ELEVEN back.
+    path = tmp_path / "m.alist"
+    write_alist(ELEVEN, path)
+    tokens = path.read_text().split()
+    where = {"header": 0, "degree": 15, "index": -1}[at]
+    assert tokens[where] == "11"
+    tokens[where] = token
+    path.write_text(" ".join(tokens) + "\n")
+    message = f"alist token {token!r} is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_alist(path)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The alist tokens of a few small matrices, with a file to write to."""
+    folder = tmp_path_factory.mktemp("alist")
+    tokens = []
+    for m in (build_mscmpc(5, [3, 4]).H, ELEVEN, SparseBinMatrix(3, 4, [[0, 2], [], [2]]),
+              SparseBinMatrix(0, 3, []), SparseBinMatrix(3, 0, [[], [], []])):
+        write_alist(m, folder / "m.alist")
+        tokens.append((m, (folder / "m.alist").read_text().split()))
+    return folder / "swapped.alist", tokens
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_swapped_token_reads_the_same_matrix_or_raises_value_error(written, data):
+    path, matrices = written
+    m, tokens = data.draw(st.sampled_from(matrices))
+    tokens = list(tokens)
+    where = data.draw(st.integers(0, len(tokens) - 1))
+    text = tokens[where] = data.draw(st.one_of(
+        st.text(),
+        st.from_regex(r"[-+ _0-9\uff10-\uff19\u0660-\u0669]{0,4}", fullmatch=True),
+        st.integers(-2, 13).map(str),
+        st.integers(10**18, 10**30).map(str),
+    ))
+    path.write_text(" ".join(tokens) + "\n")
+    if text.split() == [text] and not re.fullmatch(r"-?[0-9]+", text):
+        # One token outside the rule, and the only one in the file.
+        message = f"alist token {text!r} is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_alist(path)
+        return
+    try:
+        got = read_alist(path)
+    except ValueError:
+        return
+    assert got == m
 
 
 def test_inconsistent_lists_rejected(tmp_path):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from productldpc import cli, simulate
+from productldpc import SparseBinMatrix, cli, simulate
+from productldpc.alist import write_alist
 from productldpc.cli import main
 
 
@@ -313,8 +314,9 @@ def test_bound_rejects_non_finite_ebn0(runner, tmp_path, ebn0):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("ebn0, token", [("1_0,2", "1_0"), ("2,1_0", "1_0"), ("0:4:1_0", "1_0")],
-                         ids=["list", "list-last", "range-step"])
+@pytest.mark.parametrize("ebn0, token", [("1_0,2", "1_0"), ("2,1_0", "1_0"), ("0:4:1_0", "1_0"),
+                                         ("2,\uff14", "\uff14")],
+                         ids=["list", "list-last", "range-step", "full-width"])
 def test_bound_refuses_digit_separators_in_ebn0(runner, tmp_path, ebn0, token):
     # Python's float() reads "1_0" as 10, which would write a 10 dB row.
     result = runner.invoke(
@@ -423,7 +425,8 @@ def test_construct_rejects_malformed_permutation_file(runner, tmp_path, doc, mes
     ("1_0", "LLR '1_0' is not a number"),
     ("-2_5.0", "LLR '-2_5.0' is not a number"),
     ("x", "could not convert string to float: 'x'"),
-], ids=["digit-separator", "signed-separator", "word"])
+    ("\uff14", "LLR '\uff14' is not a number"),
+], ids=["digit-separator", "signed-separator", "word", "full-width"])
 def test_decode_rejects_malformed_llr(runner, tmp_path, token, message):
     h_path = tmp_path / "h.alist"
     runner.invoke(main, ["construct", "--comp-a", "spc:2", "--comp-b", "spc:2",
@@ -656,6 +659,20 @@ def test_girth_rejects_trailing_alist_tokens(runner, tmp_path):
     out = result.output.strip()
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert out == "error: 3 trailing tokens after the row lists"
+
+
+@pytest.mark.parametrize("token", ["1_1", "+11", "\uff11\uff11", "\u0661\u0661"],
+                         ids=["separator", "plus", "full-width", "arabic-indic"])
+def test_girth_refuses_alist_integers_other_than_ascii_digits(runner, tmp_path, token):
+    # int() reads each token as 11, the column index it stands for here.
+    path = tmp_path / "h.alist"
+    write_alist(SparseBinMatrix(1, 11, [list(range(11))]), path)
+    text = path.read_text()
+    assert text.endswith(" 11\n")
+    path.write_text(text[:-3] + token + "\n")
+    result = runner.invoke(main, ["girth", "--in", str(path)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == f"error: alist token {token!r} is not an integer\n"
 
 
 @pytest.mark.parametrize("text, line", [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from productldpc import (
     syndrome,
     vec_kron,
 )
-from productldpc.gf2 import _in_lanes, vstack
+from productldpc.gf2 import _in_lanes, parse_numbers, vstack
 
 
 def dense_rank_gf2(a):
@@ -457,3 +459,58 @@ def test_in_lanes_passes_a_lane_failure_on(lanes, failing):
 
     with pytest.raises(MemoryError, match=f"lane {failing}"):
         _in_lanes(task, 4, 1)
+
+
+def _parse_one(token, kind):
+    """parse_numbers' result for one token, or the text of its ValueError."""
+    try:
+        return parse_numbers([token], kind, "bad {!r}")
+    except ValueError as exc:
+        return str(exc)
+
+
+# Tokens near the rule's edges: ASCII digits, signs, "_", spaces and float
+# words, next to digits and spaces of other scripts and any text at all.
+_TOKENS = st.one_of(
+    st.text(st.sampled_from(list("0123456789-+_. eEinfa\t")
+                            + ["\uff11", "\u0661", "\u00b2", "\u2003"]), max_size=6),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TOKENS, max_size=4), st.sampled_from([int, float]))
+def test_numbers_read_from_text_follow_one_rule(tokens, kind):
+    expected = []
+    for t in tokens:
+        got = _parse_one(t, kind)
+        if "_" in t or not t.isascii() or (kind is int and "+" in t):
+            assert got == f"bad {t!r}"
+        if kind is int:
+            fits = re.fullmatch(r"-?[0-9]+", t) is not None
+        else:
+            fits = t.isascii() and "_" not in t
+        if not fits:
+            assert got == f"bad {t!r}"
+            continue
+        try:
+            want = [kind(t)]
+        except ValueError as exc:  # a word float() cannot read, in float()'s words
+            assert kind is float
+            want = str(exc)
+        assert repr(got) == repr(want)  # repr, so that nan equals nan
+        expected.append(want)
+    # A list names its first token outside the rule, then float()'s first
+    # word it cannot read; otherwise it reads as its tokens one by one.
+    outside = [t for t in tokens if _parse_one(t, kind) == f"bad {t!r}"]
+    errors = [w for w in expected if isinstance(w, str)]
+    try:
+        got = parse_numbers(tokens, kind, "bad {!r}")
+    except ValueError as exc:
+        got = str(exc)
+    if outside:
+        assert got == f"bad {outside[0]!r}"
+    elif errors:
+        assert got == errors[0]
+    else:
+        assert repr(got) == repr([x for w in expected for x in w])
