@@ -43,15 +43,15 @@ class WeightSpectrum:
     complete: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1 or not 0 <= self.k <= self.n:
-            raise ValueError(
-                f"a spectrum needs n >= 1 and 0 <= k <= n, got n={self.n}, k={self.k}"
-            )
+        dims = f"a spectrum needs n >= 1 and 0 <= k <= n, got n={self.n}, k={self.k}"
+        check_int("spectrum k", self.k, 0, small=dims)
+        check_int("spectrum n", self.n, max(1, self.k), small=dims)
         for w, c in self.counts.items():
-            if not 0 <= w <= self.n:
-                raise ValueError(f"spectrum weight {w} is outside 0..{self.n}")
-            if c < 0:
-                raise ValueError(f"spectrum count A_{w}={c} is negative")
+            outside = f"spectrum weight {w} is outside 0..{self.n}"
+            check_int("spectrum weight", w, 0, small=outside)
+            if w > self.n:
+                raise ValueError(outside)
+            check_int(f"spectrum A_{w}", c, 0, small=f"spectrum count A_{w}={c} is negative")
 
     def multiplicity(self, w: int) -> int:
         return self.counts.get(w, 0)
@@ -73,10 +73,9 @@ class WeightSpectrum:
         if not isinstance(doc, dict) or not isinstance(doc.get("counts"), dict):
             raise ValueError("a spectrum must be a JSON object whose counts is an object")
 
-        def integer(name: str, value) -> int:
+        def number(name: str, value):
             if not isinstance(value, numbers.Number):
                 raise ValueError(f"a spectrum entry is not a number: {name}={value!r}")
-            check_int(f"spectrum {name}", value, 0)
             return value
 
         for key in ("n", "k", "complete"):
@@ -87,8 +86,8 @@ class WeightSpectrum:
         counts = {}
         for w, c in doc["counts"].items():
             (weight,) = parse_numbers([w], int, "spectrum weight {!r} is not an integer")
-            counts[weight] = integer(f"A_{w}", c)
-        return cls(n=integer("n", doc["n"]), k=integer("k", doc["k"]), counts=counts,
+            counts[weight] = number(f"A_{w}", c)
+        return cls(n=number("n", doc["n"]), k=number("k", doc["k"]), counts=counts,
                    complete=doc["complete"])
 
 
@@ -226,6 +225,8 @@ def union_bound(spectrum: WeightSpectrum, rate: float, ebn0_db_list):
     terms = [(w, c) for w, c in sorted(spectrum.counts.items()) if w > 0 and c > 0]
     if not terms:
         raise ValueError("spectrum has no nonzero-weight terms")
+    if not isinstance(rate, numbers.Real) or isinstance(rate, bool):
+        raise ValueError(f"rate must be a real number, got {rate!r}")
     if not (math.isfinite(rate) and 0 < rate <= 1):
         raise ValueError(f"rate must be finite and in (0, 1], got {rate}")
     for w, c in terms:

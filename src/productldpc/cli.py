@@ -41,15 +41,25 @@ from .simulate import SimConfig, run_sweep, write_sim_csv
 MAX_EBN0_POINTS = 100_000
 
 
-def _floats(tokens, what: str) -> list:
-    """The reals in `tokens`, under gf2.parse_numbers' rule."""
-    return parse_numbers(tokens, float, what + " {!r} is not a number")
+class _Number(click.ParamType):
+    """An int or float flag read under gf2.parse_numbers' rule, refused
+    with click's own message."""
+
+    def __init__(self, kind: type) -> None:
+        self.kind = kind
+        self.name = "integer" if kind is int else "float"
+
+    def convert(self, value, param, ctx):
+        try:  # str() reads a default as its text
+            return parse_numbers([str(value)], self.kind, "")[0]
+        except ValueError:
+            self.fail(f"{value!r} is not a valid {self.name}.", param, ctx)
 
 
 def _parse_ebn0(text: str) -> list:
     """Comma list ("1,2,3") or inclusive range ("start:stop:step"), all finite."""
     if ":" in text:
-        parts = _floats(text.split(":"), "Eb/N0 value")
+        parts = parse_numbers(text.split(":"), float, "Eb/N0 value {!r} is not a number")
         if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0:
             raise ValueError(
                 f"bad Eb/N0 range {text!r}, use start:stop:step with finite values"
@@ -64,7 +74,7 @@ def _parse_ebn0(text: str) -> list:
         if steps < 0:
             raise ValueError(f"Eb/N0 range {text!r} has no points: stop is below start")
         return [start + i * step for i in range(math.floor(steps) + 1)]
-    grid = _floats([p for p in text.split(",") if p], "Eb/N0 value")
+    grid = parse_numbers([p for p in text.split(",") if p], float, "Eb/N0 value {!r} is not a number")
     if not grid:
         raise ValueError(f"Eb/N0 list {text!r} has no points")
     if not all(map(math.isfinite, grid)):
@@ -140,7 +150,7 @@ def construct(comp_a, comp_b, perms, out):
 
 @main.command()
 @click.option("--variant", type=click.Choice(["circulant", "generic"]), required=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=_Number(int), required=True)
 @click.option("--comp-a", required=True)
 @click.option("--comp-b", required=True)
 @click.option("--out", required=True, type=_OutputPath())
@@ -200,7 +210,7 @@ def spectrum(comp, square, perms, out):
 
 @main.command()
 @click.option("--comp", required=True)
-@click.option("--w-max", type=int, default=4, show_default=True)
+@click.option("--w-max", type=_Number(int), default=4, show_default=True)
 @click.option("--out", type=_OutputPath(), default=None)
 def mindist(comp, w_max, out):
     """Low-weight spectrum terms of a component code via pair-sum search."""
@@ -217,11 +227,11 @@ def mindist(comp, w_max, out):
 
 @main.command()
 @click.option("--spectrum", "spectrum_path", type=click.Path(exists=True), default=None)
-@click.option("--weight", type=int, default=None, help="single-term weight")
-@click.option("--multiplicity", type=int, default=None, help="single-term count")
-@click.option("--n", "n_opt", type=int, default=None, help="code length (single-term)")
-@click.option("--k", "k_opt", type=int, default=None, help="code dimension (single-term)")
-@click.option("--rate", type=float, default=None, help="override k/n")
+@click.option("--weight", type=_Number(int), default=None, help="single-term weight")
+@click.option("--multiplicity", type=_Number(int), default=None, help="single-term count")
+@click.option("--n", "n_opt", type=_Number(int), default=None, help="code length (single-term)")
+@click.option("--k", "k_opt", type=_Number(int), default=None, help="code dimension (single-term)")
+@click.option("--rate", type=_Number(float), default=None, help="override k/n")
 @click.option("--ebn0", required=True, help="comma list or start:stop:step in dB")
 @click.option("--out", required=True, type=_OutputPath())
 def bound(spectrum_path, weight, multiplicity, n_opt, k_opt, rate, ebn0, out):
@@ -272,13 +282,13 @@ def encode(comp_a, comp_b, perms, info_path, out):
 @click.option("--llr", "llr_path", required=True, type=click.Path(exists=True),
               help="whitespace-separated channel LLRs, positive favors bit 0, each an "
                    "ASCII number as float() reads it, with no '_'")
-@click.option("--max-iter", type=int, default=100, show_default=True)
+@click.option("--max-iter", type=_Number(int), default=100, show_default=True)
 @click.option("--out", required=True, type=_OutputPath())
 def decode(alist_path, llr_path, max_iter, out):
     """Sum-product decode one frame of channel LLRs."""
     H = read_alist(alist_path)
     with open(llr_path) as fh:
-        llr = np.array(_floats(fh.read().split(), "LLR"))
+        llr = np.array(parse_numbers(fh.read().split(), float, "LLR {!r} is not a number"))
     result = spa_decode(H, llr, max_iter=max_iter)
     with open(out, "w") as fh:
         fh.write(" ".join(str(int(b)) for b in result.hard_bits) + "\n")
@@ -290,7 +300,7 @@ def decode(alist_path, llr_path, max_iter, out):
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=_OutputPath())
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=_Number(int), default=1, show_default=True,
               help="worker processes; 1 runs the sweep in this process, handing its "
                    "chunks to one thread per CPU on large codes")
 def simulate(config_path, out, workers):

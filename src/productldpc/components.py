@@ -108,19 +108,13 @@ def build_mscmpc(k: int, r_list) -> ComponentCode:
         raise ValueError("stage redundancies must be pairwise distinct")
     n = k + sum(r_list)
     # Row p of a stage holds the stage input's columns p, p + r_j, ... below
-    # stage_start, then its parity column stage_start + p: increasing, so the
-    # rows go straight into CSR, a stage at a time.
-    pieces, widths = [], []
-    stage_start = k
+    # the stage's start, then its parity column start + p: increasing, so
+    # the rows go straight into CSR.
+    rows, start = [], k
     for r_j in r_list:
-        p = np.arange(r_j)[:, None]
-        cols = np.hstack([p + r_j * np.arange(-(-stage_start // r_j)), p + stage_start])
-        keep = cols < stage_start
-        keep[:, -1] = True
-        pieces.append(cols[keep])
-        widths.append(keep.sum(axis=1))
-        stage_start += r_j
-    H = SparseBinMatrix._from_csr(n - k, n, _bounds(np.concatenate(widths)), np.concatenate(pieces))
+        rows += [[*range(p, start, r_j), start + p] for p in range(r_j)]
+        start += r_j
+    H = SparseBinMatrix._from_csr(n - k, n, _bounds([len(row) for row in rows]), np.concatenate(rows))
     if _violates_row_column_constraint(H):
         raise ValueError(
             f"k={k}, stages {r_list} put two parity rows on two shared "

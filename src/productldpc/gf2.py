@@ -4,13 +4,20 @@ Parity-check matrices are stored in compressed sparse row (CSR) form:
 row i's nonzero columns are ``indices[indptr[i]:indptr[i + 1]]``, in
 strictly increasing order, and ``transpose()`` reads a matrix by
 columns.  A result whose rows come out sorted is written straight into
-CSR: ``vstack`` offsets and joins its operands' arrays, ``from_dense``
-takes ``np.nonzero``'s row-major order as it comes, and ``kron`` and
-``vec_kron``, whose second operand is a table of permutations, work out
-each entry's CSR slot by index arithmetic on row pointers and write it
-with one scatter.  Only ``transpose`` sorts: one stable sort on the
-column.  Bit vectors cross the module boundary as 0/1 integer arrays;
-any packed representation (e.g. for rank elimination) stays internal.
+CSR: ``vstack`` offsets and joins its operands' arrays, and
+``from_dense`` takes ``np.nonzero``'s row-major order as it comes.
+``transpose`` and ``kron`` place their entries by one stable sort on the
+output row.  For kron(E, H_a) in product.py, whose E holds one entry
+per row, the rows come already in order and the sort is linear.
+``PermutationArray`` sorts each block to check it.  ``vec_kron``, whose
+second operand is a table of permutations, does not sort: a row of a
+with w entries gives w interleaved runs, which a stable sort merges in
+N log w, so it works out each entry's CSR slot from a's row pointers
+and writes it with one scatter, in linear time.  By a sort it took
+1.9 ms against 1.4 ms on mscmpc:169:13,14 squared and 54-59 ms against
+38-43 ms on mscmpc:961:31,32 squared (2 cores).  Bit vectors cross the
+module boundary as 0/1 integer arrays; any packed representation (e.g.
+for rank elimination) stays internal.
 
 The module imports nothing from the package, so it is also the home of
 what every layer shares: ``check_int``, the count check applied to
@@ -195,8 +202,8 @@ class SparseBinMatrix:
     def transpose(self) -> "SparseBinMatrix":
         """The matrix by columns: row j of the result is column j.
 
-        The module's one placement sort: a stable sort of the entries on
-        their column keeps each column's rows in increasing order.
+        A stable sort of the entries on their column keeps each column's
+        rows in increasing order.
         """
         # Stable sorting is linear on sorted runs, which CSR order is full of.
         order = np.argsort(self.indices, kind="stable")
@@ -240,20 +247,13 @@ def vstack(mats) -> SparseBinMatrix:
 
 def kron(a: SparseBinMatrix, b: SparseBinMatrix) -> SparseBinMatrix:
     """Kronecker product: entry ((i*b.rows+u),(j*b.cols+v)) = a[i,j]*b[u,v]."""
-    wa, wb = np.diff(a.indptr), np.diff(b.indptr)
-    first = np.repeat(a.indptr[:-1], wa)  # where each entry's row of a starts
-    # Row (i, u) holds wa[i] * wb[u] entries from a.indptr[i] * b.nnz +
-    # wa[i] * b.indptr[u] on; the pair of a's entry e, s-th in its row,
-    # and b's entry f, t-th in its row, sits s * wb[u] + t past that.
-    start = (first * b.nnz)[:, None] + np.repeat(wa, wa)[:, None] * b.indptr[:-1]
-    start += (np.arange(a.nnz) - first)[:, None] * wb
-    rb = _row_ids(b.indptr)
-    slot = start[:, rb]
-    slot += np.arange(b.nnz) - b.indptr[rb]
-    indices = np.empty(a.nnz * b.nnz, dtype=_IDX)
-    indices[slot] = a.indices[:, None] * b.cols + b.indices
-    indptr = _bounds((wa[:, None] * wb).ravel())
-    return SparseBinMatrix._from_csr(a.rows * b.rows, a.cols * b.cols, indptr, indices)
+    # The pairs come in a's entry order, each with b's entries in CSR order,
+    # so a stable sort on the output row keeps every row's columns ascending.
+    rows = np.add.outer(_row_ids(a.indptr) * b.rows, _row_ids(b.indptr)).ravel()
+    cols = np.add.outer(a.indices * b.cols, b.indices).ravel()
+    indptr = _bounds(np.multiply.outer(np.diff(a.indptr), np.diff(b.indptr)).ravel())
+    order = np.argsort(rows, kind="stable")
+    return SparseBinMatrix._from_csr(a.rows * b.rows, a.cols * b.cols, indptr, cols[order])
 
 
 def vec_kron(a: SparseBinMatrix, table: PermutationArray) -> SparseBinMatrix:
@@ -333,10 +333,11 @@ class PermutationArray:
     __slots__ = ("n_a", "perms")
 
     def __init__(self, n_a: int, perms) -> None:
-        self.n_a = n_a = self._block_size(n_a)
+        check_int("block size", n_a, 1, small="block size must be at least 1")
+        self.n_a = n_a = int(n_a)
         # An integer table of n_a columns is taken whole.  Otherwise a block
         # of the wrong shape or kind enters the table as a row of -1s, so the
-        # one scatter below finds every bad block in block order.
+        # one sort below finds every bad block in block order.
         if isinstance(perms, np.ndarray) and perms.dtype.kind in "iu" and perms.shape[1:] == (n_a,):
             blocks = table = perms.astype(np.int64)
         else:
@@ -346,15 +347,8 @@ class PermutationArray:
                  for b in blocks],
                 dtype=np.int64,
             ).reshape(len(blocks), n_a)
-        # One scatter marks the values each block hits, in a row of n_a + 2
-        # marks: clipped to -1 or n_a, an out-of-range entry marks a spare
-        # end.  A block of n_a entries is a permutation iff it marks all of
-        # 0..n_a-1.
-        hit = np.zeros((len(table), n_a + 2), dtype=bool)
-        slot = np.clip(table, -1, n_a)
-        slot += np.arange(1, hit.size, n_a + 2)[:, None]
-        hit.ravel()[slot] = True
-        bad = np.flatnonzero(~hit[:, 1:-1].all(axis=1))
+        # A block is a permutation iff its sorted entries are 0..n_a-1.
+        bad = np.flatnonzero((np.sort(table, axis=1) != np.arange(n_a)).any(axis=1))
         if bad.size:
             j = int(bad[0])
             if blocks[j].size and blocks[j].dtype.kind not in "iu":
@@ -363,19 +357,11 @@ class PermutationArray:
         table.flags.writeable = False
         self.perms = table
 
-    @staticmethod
-    def _block_size(n_a) -> int:
-        check_int("block size", n_a, 1, small="block size must be at least 1")
-        return int(n_a)
-
     @classmethod
     def identity(cls, n_a: int, n_b: int) -> "PermutationArray":
-        pa = cls.__new__(cls)  # identity rows need no check
-        pa.n_a = n_a = cls._block_size(n_a)
+        n_a = cls(n_a, []).n_a  # the block size, checked before the count
         check_int("block count", n_b, 0)
-        pa.perms = np.tile(np.arange(n_a, dtype=np.int64), (n_b, 1))
-        pa.perms.flags.writeable = False
-        return pa
+        return cls(n_a, np.tile(np.arange(n_a), (n_b, 1)))
 
     @classmethod
     def random(cls, n_a: int, n_b: int, rng: np.random.Generator) -> "PermutationArray":

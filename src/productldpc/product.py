@@ -61,11 +61,10 @@ class ProductCode:
         # Row q of the track map: the codeword indices of column-code word q.
         # Its first k_b columns are gathered as they stand.  The parity bits
         # fill the codeword from k_b*n_a on, each index once, so the order
-        # that reads them back is the parity tracks' inverse, one scatter.
+        # that reads them back is the one that sorts the parity tracks.
         tracks = (np.arange(0, self.n, a.n)[:, None] + table.perms).T
         self._info_tracks = np.ascontiguousarray(tracks[:, : b.k])
-        self._parity_order = np.empty(a.n * b.r, dtype=np.int64)
-        self._parity_order[tracks[:, b.k :].ravel() - b.k * a.n] = np.arange(a.n * b.r)
+        self._parity_order = np.argsort(tracks[:, b.k :], axis=None)
 
     @property
     def label(self) -> str:

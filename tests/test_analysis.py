@@ -222,6 +222,13 @@ class TestUnionBound:
         with pytest.raises(ValueError, match=r"Eb/N0 = -300 dB is past the float range"):
             union_bound(spec, 0.5, [0.0, -300.0])
 
+    @pytest.mark.parametrize("rate", ["0.5", None, True], ids=["str", "none", "bool"])
+    def test_rejects_a_rate_that_is_not_a_real_number(self, rate):
+        spec = WeightSpectrum(n=16, k=9, counts={4: 36})
+        message = f"rate must be a real number, got {rate!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            union_bound(spec, rate, [1.0])
+
     def test_rate_one_accepted(self):
         spec = WeightSpectrum(n=16, k=9, counts={4: 36})
         fer, ber = union_bound(spec, 1.0, [1.0])

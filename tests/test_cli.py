@@ -753,6 +753,43 @@ def test_usage_errors_are_one_line_with_exit_2(runner, args, line):
     assert result.output.strip() == line
 
 
+# Every numeric flag, with a command line that reaches it; {flag} stands for
+# the flag and its value, and the output goes to {out}.
+_BOUND = ["bound", "--weight", "4", "--multiplicity", "3", "--n", "9", "--k", "4",
+          "--ebn0", "1", "--out", "{out}"]
+_NUMBER_FLAGS = {
+    "--seed": ["peg", "--variant", "generic", "{flag}", "--comp-a", "spc:3", "--comp-b", "spc:3",
+               "--out", "{out}"],
+    "--w-max": ["mindist", "--comp", "spc:3", "{flag}", "--out", "{out}"],
+    **{flag: [*_BOUND, "{flag}"] for flag in ("--weight", "--multiplicity", "--n", "--k",
+                                             "--rate")},
+    "--max-iter": ["decode", "--in", "{alist}", "--llr", "{llr}", "{flag}", "--out", "{out}"],
+    "--workers": ["simulate", "--config", "{config}", "{flag}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("flag, value", [
+    (flag, value) for flag in _NUMBER_FLAGS for value in ("1_0", "+1", "\uff11")
+    if (flag, value) != ("--rate", "+1")  # a real may carry a sign
+])
+def test_numeric_flags_follow_the_number_rule(runner, tmp_path, flag, value):
+    # click's int() and float() read 1_0 as 10, and +1 and a full-width 1 as 1.
+    alist, llr, config, out = (tmp_path / name for name in ("h.alist", "llr.txt", "c.json", "o"))
+    write_alist(SparseBinMatrix(1, 2, [[0, 1]]), alist)
+    llr.write_text("1.5 1.5\n")
+    config.write_text(json.dumps({"uncoded_n": 2, "ebn0_db": [3.0], "max_frames": 25}))
+    argv = []
+    for arg in _NUMBER_FLAGS[flag]:
+        argv += [flag, value] if arg == "{flag}" else [
+            arg.format(alist=alist, llr=llr, config=config, out=out)]
+    result = runner.invoke(main, argv)
+    kind = "float" if flag == "--rate" else "integer"
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.output == (
+        f"error: Invalid value for '{flag}': {value!r} is not a valid {kind}.\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["flags", "file"])
 def test_bound_rejects_count_past_the_float_range(runner, tmp_path, source):
     if source == "flags":

@@ -11,6 +11,7 @@ from productldpc import (
     ComponentCode,
     PermutationArray,
     SparseBinMatrix,
+    WeightSpectrum,
     build_mscmpc,
     build_spc,
     build_uncoded,
@@ -280,11 +281,40 @@ def test_mscmpc_acceptance_matches_pair_walk(monkeypatch):
             assert accepted != pair_walk_violates(checked[-1]), (k, stages)
 
 
+def dense_stage_rule(k, stages):
+    """H of the serial MPC stages, entry by entry: row p of stage j checks
+    its parity column and each stage input column congruent to p mod r_j."""
+    n = k + sum(stages)
+    H = np.zeros((n - k, n), dtype=np.uint8)
+    row, start = 0, k
+    for r in stages:
+        for p in range(r):
+            for col in range(start):
+                H[row, col] = col % r == p
+            H[row, start + p] = 1
+            row += 1
+        start += r
+    return H
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 80), st.lists(st.integers(2, 30), min_size=1, max_size=4, unique=True))
+def test_mscmpc_matches_the_dense_stage_rule(k, stages):
+    expected = SparseBinMatrix.from_dense(dense_stage_rule(k, stages))
+    if pair_walk_violates(expected):
+        with pytest.raises(ValueError, match="girth 4"):
+            build_mscmpc(k, stages)
+    else:
+        # == compares the CSR arrays, so each row must be sorted and distinct.
+        assert build_mscmpc(k, stages).H == expected
+
+
 _H12 = build_mscmpc(5, [3, 4]).H
 
 # Every public count, as (name in its message, call with the count set to
 # v, a string for it).  The strings for rows, block size and stage
-# redundancy raised a raw TypeError while the range came before the type.
+# redundancy raised a raw TypeError while the range came before the type,
+# as did those for a spectrum's entries, which took any float or bool.
 _COUNTS = [
     ("rows", lambda v: SparseBinMatrix(v, 2, [[], []]), "2"),
     ("cols", lambda v: SparseBinMatrix(2, v, [[], []]), "2"),
@@ -297,12 +327,17 @@ _COUNTS = [
     ("n", lambda v: ComponentCode(v, 5, _H12, "x"), "12"),
     ("k", lambda v: ComponentCode(12, v, _H12, "x"), "5"),
     ("w_max", lambda v: low_weight_search(build_spc(3), v), "2"),
+    ("spectrum n", lambda v: WeightSpectrum(n=v, k=1), "144"),
+    ("spectrum k", lambda v: WeightSpectrum(n=144, k=v), "25"),
+    ("spectrum weight", lambda v: WeightSpectrum(n=144, k=25, counts={v: 64}), "16"),
+    ("spectrum A_16", lambda v: WeightSpectrum(n=144, k=25, counts={16: v}), "64"),
 ]
 
 
 @pytest.mark.parametrize("name, make, text", _COUNTS, ids=[
     "rows", "cols", "block-size", "block-count", "spc-k", "mscmpc-k", "stage",
-    "uncoded-n", "component-n", "component-k", "w_max"])
+    "uncoded-n", "component-n", "component-k", "w_max", "spectrum-n", "spectrum-k",
+    "spectrum-weight", "spectrum-count"])
 @pytest.mark.parametrize("kind", ["str", "float", "bool"])
 def test_every_count_refuses_what_is_not_an_integer_by_name(name, make, text, kind):
     # 12.5 is above every minimum, so only its type can be at fault.
