@@ -43,6 +43,8 @@ class WeightSpectrum:
     complete: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.complete, bool):
+            raise ValueError(f"spectrum complete must be true or false, got {self.complete!r}")
         dims = f"a spectrum needs n >= 1 and 0 <= k <= n, got n={self.n}, k={self.k}"
         check_int("spectrum k", self.k, 0, small=dims)
         check_int("spectrum n", self.n, max(1, self.k), small=dims)
@@ -81,8 +83,6 @@ class WeightSpectrum:
         for key in ("n", "k", "complete"):
             if key not in doc:
                 raise ValueError(f"spectrum entry {key!r} is missing")
-        if not isinstance(doc["complete"], bool):
-            raise ValueError(f"spectrum complete must be true or false, got {doc['complete']!r}")
         counts = {}
         for w, c in doc["counts"].items():
             (weight,) = parse_numbers([w], int, "spectrum weight {!r} is not an integer")
@@ -235,6 +235,9 @@ def union_bound(spectrum: WeightSpectrum, rate: float, ebn0_db_list):
         except OverflowError:
             raise ValueError(f"spectrum count A_{w} is past the float range") from None
     ebn0_db = np.asarray(ebn0_db_list, dtype=np.float64)
+    # -inf dB is Eb/N0 = 0, where each term is A_w / 2; nan and +inf are no ratio.
+    if (bad := np.isnan(ebn0_db) | np.isposinf(ebn0_db)).any():
+        raise ValueError(f"Eb/N0 entries must be finite or -inf, got {ebn0_db[bad][0]:g} dB")
     ebn0 = 10.0 ** (ebn0_db / 10.0)
     fer = np.zeros_like(ebn0)
     ber = np.zeros_like(ebn0)

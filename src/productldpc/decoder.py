@@ -52,7 +52,19 @@ class _EdgePlan:
     e.  ``var_edges[k, v]`` is the flat edge of the k-th check of
     variable v in ascending check order; variables with fewer checks
     point at the slot ``n_edges``, which holds 0.  ``buckets`` holds each
-    bucket's (d, C) views of ``beta``, ``excl``, ``neg`` and ``flip``.
+    bucket's (d, C) views of ``v2c`` and ``neg``.
+
+    A decode keeps two float edge arrays and one bool edge array, as the
+    check-centred layout needs.  ``c2v`` carries the check messages from
+    one iteration to the next.  ``v2c`` is worked in place through one
+    iteration: the variable messages, then -phi of their clipped
+    magnitudes, then each edge's exclusive phi-sum, then -phi of that.
+    ``neg`` holds the signs of the variable messages, then, flipped in
+    place by each check's parity, whether an outgoing message is
+    negative.  Against an array per stage (three float and two bool edge
+    arrays), this ran a 25-frame chunk of the (10000,6561) pair in 0.944x
+    the time at 2.0-2.5 dB and 0.948x at 4.5 dB on one CPU (medians of
+    10 alternating pairs, lower in 7 and 9 of them).
     """
 
     def __init__(self, H: SparseBinMatrix) -> None:
@@ -79,17 +91,14 @@ class _EdgePlan:
         self.var_edges = np.full((var_deg.max(initial=0), H.cols), e, dtype=np.intp)
         self.var_edges[rank, indices[by_var]] = flat_of[by_var]
 
-        # excl: the exclusive sum of phi, then -phi of it; v2c is spent by then.
-        self.v2c = self.excl = np.empty(e)
-        self.beta = np.empty(e)  # -phi(|v2c|)
+        self.v2c = np.empty(e)
         self.c2v_pad = np.zeros(e + 1)  # the last slot stays 0 for var_edges
         self.c2v = self.c2v_pad[:e]
         self.neg = np.empty(e, dtype=bool)
-        self.flip = np.empty(e, dtype=bool)
         self.terms = np.empty(self.var_edges.shape)  # each variable's incoming c2v
         bounds = np.cumsum([0] + [d * c for d, c in shapes])
         self.buckets = [
-            tuple(a[lo:hi].reshape(d, c) for a in (self.beta, self.excl, self.neg, self.flip))
+            (self.v2c[lo:hi].reshape(d, c), self.neg[lo:hi].reshape(d, c))
             for (d, c), lo, hi in zip(shapes, bounds, bounds[1:])
         ]
 
@@ -135,9 +144,10 @@ def _check_sums(rows: np.ndarray) -> np.ndarray:
     return rows[0] + _pairwise_rows(rows[1:])
 
 
-def _log_tanh_half(x: np.ndarray) -> None:
-    # x <- log(tanh(x/2)) = -phi(x) in place, phi(x) = -log(tanh(x/2))
-    # being self-inverse on (0, inf); x is pre-clamped to >= _MIN_MAG.
+def _log_tanh_half(x: np.ndarray, top) -> None:
+    # x <- log(tanh(x/2)) = -phi(x) in place, x first clipped to
+    # [_MIN_MAG, top]; phi(x) = -log(tanh(x/2)) is self-inverse on (0, inf).
+    np.clip(x, _MIN_MAG, top, out=x)
     np.multiply(x, 0.5, out=x)
     np.tanh(x, out=x)
     np.log(x, out=x)
@@ -157,8 +167,7 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
         # No constraints: the channel decision already satisfies H.
         return DecodeResult((llr < 0).astype(np.uint8), 1, True)
 
-    v2c, beta, excl, c2v, neg, flip, terms, buckets = (
-        plan.v2c, plan.beta, plan.excl, plan.c2v, plan.neg, plan.flip, plan.terms, plan.buckets)
+    v2c, c2v, neg, terms, buckets = plan.v2c, plan.c2v, plan.neg, plan.terms, plan.buckets
     c2v.fill(0.0)
 
     # The plan's indices are in range by construction; mode="clip" lets
@@ -170,25 +179,24 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
             # After `it` iterations, the gather that opens the next one
             # doubles as the syndrome check of the current decision.
             np.less(v2c, 0.0, out=neg)
-            if not any(np.logical_xor.reduce(n_b, axis=0).any() for _, _, n_b, _ in buckets):
+            if not any(np.logical_xor.reduce(n_b, axis=0).any() for _, n_b in buckets):
                 return DecodeResult((posterior < 0).astype(np.uint8), it, True)
             if it == max_iter:
                 break
         np.subtract(v2c, c2v, out=v2c)
         np.less(v2c, 0.0, out=neg)
-        np.abs(v2c, out=beta)
-        np.clip(beta, _MIN_MAG, CLAMP_LLR, out=beta)
-        _log_tanh_half(beta)
-        for b_b, x_b, n_b, f_b in buckets:
-            # phi-sum of the other edges: sum(phi) - phi = beta - sum(beta).
-            np.subtract(b_b, _check_sums(b_b), out=x_b)
-            np.not_equal(n_b, np.logical_xor.reduce(n_b, axis=0), out=f_b)
-        # phi(excl) <= phi(_MIN_MAG) ~ 28.3 < CLAMP_LLR: c2v needs no clip.
-        np.maximum(excl, _MIN_MAG, out=excl)
-        _log_tanh_half(excl)
-        np.multiply(flip, 2.0, out=c2v)
+        np.abs(v2c, out=v2c)
+        _log_tanh_half(v2c, CLAMP_LLR)
+        for v_b, n_b in buckets:
+            # phi-sum of the other edges: sum(phi) - phi, v_b holding -phi.
+            np.subtract(v_b, _check_sums(v_b), out=v_b)
+            np.not_equal(n_b, np.logical_xor.reduce(n_b, axis=0), out=n_b)
+        # phi of the exclusive sum <= phi(_MIN_MAG) ~ 28.3 < CLAMP_LLR:
+        # c2v needs no clip.
+        _log_tanh_half(v2c, None)
+        np.multiply(neg, 2.0, out=c2v)
         c2v -= 1.0  # minus the sign of each outgoing message
-        c2v *= excl
+        c2v *= v2c
         # The previous posterior was consumed by this iteration's gather.
         np.take(plan.c2v_pad, plan.var_edges, out=terms, mode="clip")
         posterior = terms[0]

@@ -315,6 +315,8 @@ def syndrome(m: SparseBinMatrix, x) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (m.cols,):
         raise ValueError(f"vector length {x.shape} does not match {m.cols} columns")
+    if (bad := (x != 0) & (x != 1)).any():
+        raise ValueError(f"vector entries must be 0 or 1, got {x[bad][0]} at index {bad.argmax()}")
     sums = np.bincount(
         _row_ids(m.indptr), weights=x[m.indices].astype(np.float64), minlength=m.rows
     )

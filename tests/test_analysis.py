@@ -229,6 +229,18 @@ class TestUnionBound:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             union_bound(spec, rate, [1.0])
 
+    @pytest.mark.parametrize("grid, shown", [
+        ([math.nan], "nan"),
+        ([1.0, math.inf, math.nan], "inf"),
+        ([-math.inf, 2.0, math.nan], "nan"),
+    ], ids=["nan", "inf-first", "nan-after-minus-inf"])
+    def test_rejects_nan_and_plus_inf_ebn0_entries(self, grid, shown):
+        # Taken as given, nan gave an FER of nan and +inf an FER of 0.
+        spec = WeightSpectrum(n=16, k=9, counts={4: 36})
+        message = f"Eb/N0 entries must be finite or -inf, got {shown} dB"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            union_bound(spec, 0.5, grid)
+
     def test_rate_one_accepted(self):
         spec = WeightSpectrum(n=16, k=9, counts={4: 36})
         fer, ber = union_bound(spec, 1.0, [1.0])
@@ -244,6 +256,13 @@ class TestSpectrumTerms:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="negative"):
             WeightSpectrum(n=144, k=25, counts={16: -64})
+
+    @pytest.mark.parametrize("complete", ["no", 1, None])
+    def test_rejects_complete_that_is_not_a_bool(self, complete):
+        # Built, it would save a file that load_spectrum refuses.
+        message = f"spectrum complete must be true or false, got {complete!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WeightSpectrum(n=3, k=1, counts={0: 1, 3: 1}, complete=complete)
 
     def test_extreme_weights_accepted(self):
         spec = WeightSpectrum(n=144, k=25, counts={0: 1, 144: 1, 16: 0})

@@ -144,6 +144,19 @@ def _corpus(n: int, seed: int):
     for max_iter in (1, 2):
         frames.append((noisy, max_iter))
         frames.append((np.zeros(n), max_iter))
+    # Exact zeros of both signs, LLRs at and just inside +-CLAMP_LLR and
+    # magnitudes near 1e300 among noisy ones: the edge messages meet the
+    # clip, the signed zeros and the sign flips in place.
+    special = np.array([0.0, -0.0, CLAMP_LLR, -CLAMP_LLR, np.nextafter(CLAMP_LLR, 0.0),
+                        -np.nextafter(CLAMP_LLR, 0.0), 1e300, -1e300, -9.9e299, 5e-324])
+    for share in (0.1, 0.5, 0.9):
+        for _ in range(3):
+            llr = rng.normal(0.0, 2.0, n)
+            pick = rng.random(n) < share
+            llr[pick] = rng.choice(special, np.count_nonzero(pick))
+            frames.append((llr, 60))
+    for magnitude in (CLAMP_LLR, 1e300):
+        frames.append((magnitude * rng.choice([-1.0, 1.0], n), 60))
     return frames
 
 

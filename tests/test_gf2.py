@@ -338,6 +338,27 @@ class TestSyndrome:
         with pytest.raises(ValueError):
             syndrome(comp5.H, np.zeros(11, dtype=np.uint8))
 
+    @pytest.mark.parametrize("index, entry, dtype, shown", [
+        (None, 0.5, np.float64, "0.5 at index 0"),
+        (7, 2, np.uint8, "2 at index 7"),
+        (143, -1, np.int64, "-1 at index 143"),
+        (7, np.nan, np.float64, "nan at index 7"),
+    ], ids=["all-halves", "two", "minus-one", "nan"])
+    def test_entries_other_than_0_and_1_rejected(self, pc144, index, entry, dtype, shown):
+        # Read as weights, 2 counted as 0 and a vector of halves left 119
+        # of the (144,25) code's checks "unsatisfied".
+        x = np.full(144, entry, dtype=dtype)
+        if index is not None:
+            x[:] = 0
+            x[index] = entry
+        with pytest.raises(ValueError, match=f"^vector entries must be 0 or 1, got {shown}$"):
+            syndrome(pc144.H, x)
+
+    def test_bool_and_signed_zero_entries_accepted(self, pc144):
+        ones = syndrome(pc144.H, np.ones(144, dtype=np.uint8))
+        assert np.array_equal(syndrome(pc144.H, np.ones(144, dtype=bool)), ones)
+        assert not syndrome(pc144.H, np.full(144, -0.0)).any()
+
 
 class TestPermutationArray:
     def test_rejects_duplicates(self):

@@ -225,6 +225,22 @@ class TestCounters:
         assert p.frame_errors <= p.frames
         assert p.bit_errors <= tiny_pc.k * p.frame_errors
 
+    def test_a_chunk_holds_one_frame_at_a_time(self, pc144):
+        # Frames are drawn and decoded one by one, so a chunk's peak
+        # memory does not grow with its frame count.  The first call
+        # builds the decoder state, which this thread then keeps.
+        _run_chunk(pc144, 2.0, 1, 7, 0, 0, 30)
+        peaks = []
+        for n_frames in (5, 50):
+            tracemalloc.start()
+            try:
+                _run_chunk(pc144, 2.0, n_frames, 7, 0, 0, 30)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Less than one more frame's LLRs (8 bytes a bit).
+        assert peaks[1] < peaks[0] + 8 * pc144.n, peaks
+
     def test_stops_on_enough_errors(self, tiny_pc):
         cfg = SimConfig(code=tiny_pc, ebn0_db=[-2.0], min_frame_errors=5,
                         max_frames=10_000, seed=1)
