@@ -15,10 +15,11 @@ and a parity along axis 0 broadcast back over the bucket's edges, in
 the check-centred layout of Hu, Eleftheriou, Arnold and Dholakia
 ("Efficient implementations of the sum-product algorithm for decoding
 LDPC codes", GLOBECOM 2001).  One flat edge order spans all buckets for
-the elementwise work.  Every sum is taken in a fixed order that does
-not depend on the layout: within a check, the order in which
-``np.add.reduceat`` adds one segment; at a variable, ascending check
-index.  Decisions are therefore reproducible bit for bit.
+the elementwise work.  Every sum is added left to right in flat edge
+order: within a check, ascending variable index; at a variable,
+ascending check index.  Both are plain loops of ``+=`` over rows, so no
+sum relies on a numpy reduction order, and decisions are reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -118,32 +119,6 @@ def _plan(H: SparseBinMatrix) -> _EdgePlan:
     return _local.plan
 
 
-def _pairwise_rows(rows: np.ndarray) -> np.ndarray:
-    # numpy's pairwise summation, row by row: sequential below 8 terms,
-    # eight interleaved accumulators up to 128, halves above.
-    n = len(rows)
-    if n < 8:
-        return rows.sum(axis=0)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_rows(rows[:half]) + _pairwise_rows(rows[half:])
-    stop = n - n % 8
-    acc = rows[:8]
-    for i in range(8, stop, 8):
-        acc = acc + rows[i:i + 8]
-    pairs = acc[0::2] + acc[1::2]
-    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-    for row in rows[stop:]:
-        total += row
-    return total
-
-
-def _check_sums(rows: np.ndarray) -> np.ndarray:
-    """Column sums of a (degree, checks) array in ``np.add.reduceat``'s
-    order for one segment: the first term plus the pairwise sum of the rest."""
-    return rows[0] + _pairwise_rows(rows[1:])
-
-
 def _log_tanh_half(x: np.ndarray, top) -> None:
     # x <- log(tanh(x/2)) = -phi(x) in place, x first clipped to
     # [_MIN_MAG, top]; phi(x) = -log(tanh(x/2)) is self-inverse on (0, inf).
@@ -189,7 +164,10 @@ def spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -> DecodeRe
         _log_tanh_half(v2c, CLAMP_LLR)
         for v_b, n_b in buckets:
             # phi-sum of the other edges: sum(phi) - phi, v_b holding -phi.
-            np.subtract(v_b, _check_sums(v_b), out=v_b)
+            total = v_b[0].copy()
+            for row in v_b[1:]:
+                total += row
+            np.subtract(v_b, total, out=v_b)
             np.not_equal(n_b, np.logical_xor.reduce(n_b, axis=0), out=n_b)
         # phi of the exclusive sum <= phi(_MIN_MAG) ~ 28.3 < CLAMP_LLR:
         # c2v needs no clip.

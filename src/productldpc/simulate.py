@@ -143,7 +143,7 @@ def _run_chunk(code, ebn0_db: float, n_frames: int, seed, point_idx: int,
         codeword = code.encode(info)
         llr = rng.standard_normal(code.n)
         llr *= sigma
-        llr += _BPSK[codeword]
+        llr += np.take(_BPSK, codeword)
         llr *= 2.0 / sigma2
         result = spa_decode(code.H, llr, max_iter=max_iter)
         errs = int(np.count_nonzero(result.hard_bits[info_pos] != info))

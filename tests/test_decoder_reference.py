@@ -1,12 +1,16 @@
 """The SPA decoder against a segment-by-segment reference implementation.
 
 ``reference_spa_decode`` is the edge-list decoder the degree-bucketed
-plan replaced, kept verbatim apart from building its edge structure on
-every call instead of caching it on H.  It sums each check's messages
-with ``np.add.reduceat`` over a check-sorted edge list and each
-variable's with ``np.bincount``; the decoder must reproduce its
-decisions, iteration counts and convergence flags exactly.
+plan replaced, with two changes: it builds its edge structure on every
+call instead of caching it on H, and it sums each check's messages left
+to right, with ``np.add.accumulate`` along one zero-padded row per check
+of a check-sorted edge list, where it once used ``np.add.reduceat``.
+It sums each variable's messages with ``np.bincount``.  The decoder must
+reproduce its decisions, iteration counts and convergence flags exactly.
 """
+
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from productldpc import (
     build_hp_interleaved,
     spa_decode,
 )
-from productldpc.decoder import DecodeResult, _check_sums
+from productldpc.decoder import DecodeResult
 
 CLAMP_LLR = 30.0
 _MIN_MAG = 1e-12
@@ -38,7 +42,15 @@ class _EdgeStructure:
         self.starts = np.zeros(len(nonempty), dtype=np.int64)
         np.cumsum(self.deg[:-1], out=self.starts[1:])
         self.seg = np.repeat(np.arange(len(self.deg)), self.deg)
+        self.pos = np.arange(self.var.size) - self.starts[self.seg]
         self.n = H.cols
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """Per-edge values as one row per check, in variable order,
+        padded with zeros to the largest degree."""
+        out = np.zeros((len(self.deg), self.deg.max()), dtype=x.dtype)
+        out[self.seg, self.pos] = x
+        return out
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -69,15 +81,17 @@ def reference_spa_decode(H: SparseBinMatrix, channel_llr, max_iter: int = 100) -
         v2c = np.clip(posterior[es.var] - c2v, -CLAMP_LLR, CLAMP_LLR)
         mag = np.maximum(np.abs(v2c), _MIN_MAG)
         alpha = _phi(mag)
-        alpha_sum = np.add.reduceat(alpha, es.starts)
+        # Left to right in each check; alpha > 0, so the padding adds
+        # nothing.
+        alpha_sum = np.add.accumulate(es.rows(alpha), axis=1)[:, -1]
         neg = v2c < 0
-        parity = np.add.reduceat(neg, es.starts).astype(np.int64) & 1
+        parity = es.rows(neg).sum(axis=1) & 1
         excl = np.maximum(alpha_sum[seg] - alpha, _MIN_MAG)
         sign = 1.0 - 2.0 * ((parity[seg] ^ neg).astype(np.float64))
         c2v = np.clip(sign * _phi(excl), -CLAMP_LLR, CLAMP_LLR)
         posterior = llr + np.bincount(es.var, weights=c2v, minlength=es.n)
         hard = (posterior < 0).astype(np.uint8)
-        unsat = np.add.reduceat(hard[es.var].astype(np.int64), es.starts) & 1
+        unsat = es.rows(hard[es.var]).sum(axis=1) & 1
         if not unsat.any():
             return DecodeResult(hard, it, True)
     return DecodeResult(hard, max_iter, False)
@@ -92,9 +106,10 @@ def _same(res, ref) -> bool:
 
 
 def _dense_with_edge_cases():
-    """Rows of degree 0, 1, 2, 9, 10, 17 and 140, so every branch of the
-    check-sum tree (sequential, eight accumulators with and without a
-    second block, halving above 128) and the empty-row path run."""
+    """An empty row and rows of degree 1, 2, 3, 9, 10, 17 and 140, each
+    the one check of its bucket.  The one-check rows of degree 9, 10, 17
+    and 140 are the buckets where numpy's ``sum(axis=0)`` would add
+    pairwise rather than left to right."""
     rng = np.random.default_rng(404)
     n = 160
     a = np.zeros((8, n), dtype=np.uint8)
@@ -181,15 +196,6 @@ def test_alternating_codes_reuse_no_stale_plan(codes):
             assert _same(spa_decode(H, llr, max_iter=30), reference_spa_decode(H, llr, 30))
 
 
-@pytest.mark.parametrize("checks", [1, 7])
-def test_check_sums_follow_reduceat_order(checks):
-    rng = np.random.default_rng(checks)
-    for degree in list(range(1, 40)) + [127, 128, 129, 136, 200, 300]:
-        rows = rng.random((degree, checks)) * 10.0 ** rng.uniform(-6, 6, (degree, checks))
-        segments = np.add.reduceat(rows.T.ravel(), np.arange(checks) * degree)
-        assert np.array_equal(_check_sums(rows), segments), degree
-
-
 def test_variable_sums_follow_check_order():
     # Variable 2 sits at position 1 of check 0 and position 0 of checks 1
     # and 2, so the flat edge order reaches its messages as checks 1, 2, 0.
@@ -204,3 +210,32 @@ def test_variable_sums_follow_check_order():
     res = spa_decode(H, llr, max_iter=1)
     assert _same(res, reference_spa_decode(H, llr, 1))
     assert res.hard_bits[2] == 0
+
+
+@pytest.mark.parametrize("checks, seed", [(1, 50), (6, 227)])
+def test_check_sums_follow_variable_order(checks, seed):
+    # `checks` checks of degree 17 on disjoint variables, then one check
+    # on variable 0 and the last variable.  Both |LLR| > CLAMP_LLR, so
+    # the first iteration's messages m0 (check 0) and m1 = phi(_MIN_MAG)
+    # (the last check) into variable 0 do not depend on LLR_0.  The
+    # oracle sums check 0's phi values left to right and sets LLR_0 to
+    # -(m0 + m1), so the posterior is exactly 0 (bit 0) in that order.
+    # For these seeds, check sums in np.add.reduceat's pairwise order
+    # give bit 1 in both buckets, and so does v_b.sum(axis=0) on the
+    # one-check bucket, which numpy reduces pairwise at degree 8 or more.
+    degree = 17
+    n = degree * checks + 1
+    rows = [list(range(c * degree, (c + 1) * degree)) for c in range(checks)]
+    H = SparseBinMatrix(checks + 1, n, rows + [[0, n - 1]])
+    rng = np.random.default_rng(seed)
+    llr = rng.uniform(4.0, 12.0, n) * rng.choice([-1.0, 1.0], n)
+    llr[-1] = 2 * CLAMP_LLR
+    alpha = _phi(np.minimum(np.abs(llr[:degree]), CLAMP_LLR))
+    alpha[0] = _phi(CLAMP_LLR)
+    excl = functools.reduce(operator.add, alpha) - alpha[0]
+    m0 = np.prod(np.sign(llr[1:degree])) * _phi(max(excl, _MIN_MAG))
+    llr[0] = -(m0 + _phi(_MIN_MAG))
+    assert abs(llr[0]) > CLAMP_LLR
+    res = spa_decode(H, llr, max_iter=1)
+    assert _same(res, reference_spa_decode(H, llr, 1))
+    assert res.hard_bits[0] == 0
