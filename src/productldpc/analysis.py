@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf2 import _in_lanes, check_int, parse_numbers
+from .gf2 import _in_lanes, _write_json, check_int, parse_numbers
 
 EXHAUSTIVE_K_LIMIT = 28
 # (high, low) pairs weighed per block: fixes the block buffers at a few MB.
@@ -62,14 +62,6 @@ class WeightSpectrum:
         nonzero = [w for w, c in self.counts.items() if w > 0 and c > 0]
         return min(nonzero) if nonzero else math.inf
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "complete": self.complete,
-            "counts": {str(w): c for w, c in sorted(self.counts.items())},
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WeightSpectrum":
         if not isinstance(doc, dict) or not isinstance(doc.get("counts"), dict):
@@ -92,12 +84,13 @@ class WeightSpectrum:
 
 
 def save_spectrum(spec: WeightSpectrum, path, meta: dict | None = None) -> None:
-    doc = spec.to_json_dict()
-    if meta:
-        doc["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    doc = {
+        "n": spec.n,
+        "k": spec.k,
+        "complete": spec.complete,
+        "counts": {str(w): c for w, c in sorted(spec.counts.items())},
+    }
+    _write_json(path, doc, meta)
 
 
 def load_spectrum(path) -> WeightSpectrum:

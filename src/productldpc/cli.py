@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .components import build_uncoded, parse_component_spec
 from .decoder import spa_decode
-from .gf2 import check_int, parse_numbers
+from .gf2 import _write_json, check_int, parse_numbers
 from .peg import design_circulant, design_generic, local_girth
 from .product import ProductCode, load_permutation_array, save_permutation_array
 from .simulate import SimConfig, run_sweep, write_sim_csv
@@ -187,11 +187,8 @@ def girth(alist_path, json_path):
         doc = {
             "global_girth": None if gg == "inf" else int(gg),
             "histogram": histogram,
-            "meta": _meta(input=str(alist_path)),
         }
-        with open(json_path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        _write_json(json_path, doc, _meta(input=str(alist_path)))
 
 
 @main.command()

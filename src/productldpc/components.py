@@ -16,6 +16,21 @@ import numpy as np
 from .gf2 import SparseBinMatrix, _bounds, check_int, parse_numbers
 
 
+def _info_words(info, k: int) -> np.ndarray:
+    """info as uint8 words of k bits along the last axis.
+
+    An entry must equal 0 or 1, as in gf2.syndrome: bools and the floats
+    0.0 and 1.0 pass, while 2, -1, 0.7 or a string is refused, where a
+    cast alone would wrap or truncate it without a word.
+    """
+    info = np.asarray(info)
+    if info.shape[-1:] != (k,):
+        raise ValueError(f"expected info words of length k={k}, got shape {info.shape}")
+    if (bad := (info != 0) & (info != 1)).any():
+        raise ValueError(f"information bits must be 0 or 1, got {info[bad][0].item()!r}")
+    return info.astype(np.uint8, copy=False)
+
+
 class ComponentCode:
     """An (n, k) systematic block code defined by a triangular H."""
 
@@ -52,9 +67,12 @@ class ComponentCode:
 
     def encode(self, info) -> np.ndarray:
         """Encode info words along the last axis: (..., k) bits to (..., n)."""
-        info = np.asarray(info, dtype=np.uint8)
-        if info.shape[-1:] != (self.k,):
-            raise ValueError(f"expected info words of length k={self.k}, got shape {info.shape}")
+        return self._encode(_info_words(info, self.k))
+
+    def _encode(self, info: np.ndarray) -> np.ndarray:
+        """encode of uint8 words that _info_words has passed.  A product
+        code encodes through it, so its input is checked once, not again
+        by each component."""
         # Exact in float64: no sum exceeds k.
         parity = (info @ self._parity_gen).astype(np.int64) & 1
         return np.concatenate([info, parity.astype(np.uint8)], axis=-1)

@@ -22,12 +22,14 @@ for rank elimination) stays internal.
 The module imports nothing from the package, so it is also the home of
 what every layer shares: ``check_int``, the count check applied to
 inputs, ``parse_numbers``, the one rule for numbers read from text,
+``_write_json``, the one layout of the package's JSON files,
 ``_cpus``, the usable CPU count, and ``_in_lanes``, which splits
 independent work over the CPUs.
 """
 
 from __future__ import annotations
 
+import json
 import numbers
 import os
 import re
@@ -77,6 +79,15 @@ def parse_numbers(tokens: list[str], kind: type, message: str) -> list:
             if not (re.fullmatch(r"-?[0-9]+", t) if kind is int else t.isascii() and "_" not in t):
                 raise ValueError(message.format(t))
     return list(map(kind, tokens))
+
+
+def _write_json(path, doc: dict, meta: dict | None = None) -> None:
+    """Write doc to path as JSON indented by one space, with meta, unless
+    empty, as its last key, and a final newline."""
+    if meta:
+        doc = {**doc, "meta": meta}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def _cpus() -> int:

@@ -21,8 +21,8 @@ import json
 
 import numpy as np
 
-from .components import ComponentCode
-from .gf2 import PermutationArray, SparseBinMatrix, check_int, kron, vec_kron, vstack
+from .components import ComponentCode, _info_words
+from .gf2 import PermutationArray, SparseBinMatrix, _write_json, check_int, kron, vec_kron, vstack
 
 
 class ProductCode:
@@ -85,12 +85,10 @@ class ProductCode:
         the track map.  The codeword is the encoding matrix read row-wise.
         """
         a, b = self.comp_a, self.comp_b
-        info = np.asarray(info, dtype=np.uint8)
-        if info.shape[-1:] != (self.k,):
-            raise ValueError(f"expected info words of length k={self.k}, got shape {info.shape}")
+        info = _info_words(info, self.k)
         lead = info.shape[:-1]
-        rows = a.encode(info.reshape(*lead, b.k, a.k)).reshape(*lead, b.k * a.n)
-        words = b.encode(np.take(rows, self._info_tracks, axis=-1))  # (..., n_a, n_b)
+        rows = a._encode(info.reshape(*lead, b.k, a.k)).reshape(*lead, b.k * a.n)
+        words = b._encode(np.take(rows, self._info_tracks, axis=-1))  # (..., n_a, n_b)
         parity = words[..., b.k :].reshape(*lead, a.n * b.r)
         return np.concatenate([rows, np.take(parity, self._parity_order, axis=-1)], axis=-1)
 
@@ -113,11 +111,7 @@ def save_permutation_array(perms: PermutationArray, path, meta: dict | None = No
         "n_a": perms.n_a,
         "perms": (perms.perms + 1).tolist(),
     }
-    if meta:
-        doc["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, doc, meta)
 
 
 def load_permutation_array(path) -> PermutationArray:

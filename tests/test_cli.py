@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -138,6 +139,28 @@ def test_peg_names_a_negative_seed(runner, tmp_path, variant):
     assert result.exit_code == 1
     assert result.output.strip() == "error: seed must be at least 0, got -1"
     assert not perms.exists()
+
+
+# SHA-256 of each JSON file the CLI writes with its meta, on the (144,25)
+# codes, when these pins were recorded; meta.tool holds "productldpc 0.1.0".
+@pytest.mark.parametrize("args, digest", [
+    (["peg", "--variant", "generic", "--seed", "1", "--comp-a", "mscmpc:5:3,4",
+      "--comp-b", "mscmpc:5:3,4", "--out", "out.json"],
+     "a98c935b0403adf20567d42bfd72bc71ebde5d037c452e46aec8e6faaa50715a"),
+    (["spectrum", "--comp", "mscmpc:5:3,4", "--square", "--out", "out.json"],
+     "b7981688ce01e25fed9982829bef7e74f6ac0c00d68251041a1425f36dd48197"),
+    (["girth", "--in", "h.alist", "--json", "out.json"],
+     "74818c6420e73835ee31f2c67f96312625d4f3daec828c1fded4726fc5140ddd"),
+], ids=["peg", "spectrum", "girth"])
+def test_cli_json_bytes_are_pinned(runner, tmp_path, monkeypatch, args, digest):
+    # Relative paths, since girth's meta records its input path as given.
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["construct", "--comp-a", "mscmpc:5:3,4",
+                                  "--comp-b", "mscmpc:5:3,4", "--out", "h.alist"])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
 
 
 def test_spectrum_small_square(runner, tmp_path):
@@ -680,7 +703,11 @@ def test_girth_refuses_alist_integers_other_than_ascii_digits(runner, tmp_path, 
     ("2 1\n1 2\n2 1\n2\n1\n1\n1 2\n", "error: column 0: degree list disagrees with indices"),
     # column 0 names row 3 of a one-row matrix
     ("2 1\n1 2\n1 1\n2\n3\n1\n1 2\n", "error: column 0: row index 3 out of range"),
-], ids=["degree", "range"])
+    # the header names the sizes and stops before the degree lines
+    ("3 2\n", "error: truncated alist file"),
+    # a 0 x 0 matrix reads, but has no girth
+    ("0 0\n0 0\n", "error: girth of an empty matrix is undefined"),
+], ids=["degree", "range", "short-header", "empty"])
 def test_girth_rejects_inconsistent_alist_columns(runner, tmp_path, text, line):
     path = tmp_path / "h.alist"
     path.write_text(text)

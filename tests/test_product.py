@@ -225,6 +225,23 @@ class TestEncoder:
             pc144.encode(np.zeros((4, 5), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("which", ["component", "product"])
+@pytest.mark.parametrize("bad, shown", [(2, "2"), (-1, "-1"), (0.7, "0.7"), ("1", "'1'")],
+                         ids=["two", "minus-one", "fraction", "string"])
+def test_encode_refuses_entries_other_than_0_and_1(spc_square, which, bad, shown):
+    # A uint8 cast alone would wrap -1 to 255, truncate 0.7 to 0, read "1"
+    # as 1 and pass 2 through into a word that is not a codeword.
+    code = spc_square if which == "product" else spc_square.comp_a
+    info = [bad] + [0] * (code.k - 1)
+    with pytest.raises(ValueError, match=f"^information bits must be 0 or 1, got {shown}$"):
+        code.encode(info)
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        code.encode([[0] * code.k, info])
+    ones = np.ones(code.k, dtype=np.uint8)
+    for same in (ones.astype(bool), ones.astype(np.float64), ones.tolist()):
+        assert np.array_equal(code.encode(same), code.encode(ones))
+
+
 PROPERTY_COMPONENTS = [
     parse_component_spec(spec) for spec in ("spc:1", "spc:3", "mscmpc:5:3,4", "mscmpc:10:11,12,13")
 ]
